@@ -10,14 +10,19 @@
 //     probe_round() (replica sync amortized across repeated rounds),
 //     speedup vs serial, and commit_efficiency — committed / accepted from
 //     one arbitrated MinCritical round on a fresh copy of the circuit (how
-//     much of the parallel work survives deterministic arbitration).
+//     much of the parallel work survives deterministic arbitration), and
+//     committed_loop — the moves committed by a converging run_round loop,
+//     which must equal the threads-1 loop's (the bench aborts otherwise:
+//     arbitration is worker-count-independent by contract).
 //
-// The report records hardware_threads: on a 1-core host every thread count
-// time-slices one CPU, so probes_per_sec stays flat — the scaling claim
-// must be read on a host with >= 8 hardware threads.
+// The report opens with an `env` header (hardware_threads, build type, git
+// commit): on a host with fewer cores than a thread count, workers
+// time-slice and probes_per_sec stays flat, so a scaling number is only
+// meaningful next to the hardware it was taken on.
 //
 // Usage: parallel_scaling [--out BENCH_parallel.json] [--circuits a,b,c]
 //                         [--threads 1,2,4,8] [--min-time SECONDS]
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -102,16 +107,10 @@ struct ThreadPoint {
   double worker_probes_min = 0.0;
   double worker_probes_max = 0.0;
   double worker_probes_skew = 0.0;
-  // Pipelined speculation over a converging run_round loop: replica probes
-  // launched behind arbitration and group results reused vs discarded.
-  // committed_speculative re-runs the same loop with speculation on and
-  // must equal committed_loop (the barrier run) — the bench-level
-  // determinism assertion.
-  std::uint64_t speculative_probes = 0;
-  std::uint64_t speculation_hits = 0;
-  std::uint64_t speculation_wasted = 0;
+  // Moves committed by a converging run_round loop from the pristine
+  // circuit; must equal the threads-1 loop's (the bench-level determinism
+  // assertion).
   int committed_loop = 0;
-  int committed_speculative = 0;
 };
 
 // Upper bound on per-round worker probe skew (max/mean) the sharding must
@@ -120,24 +119,41 @@ struct ThreadPoint {
 // indivisible.
 constexpr double kMaxLoadSkew = 3.0;
 
-/// run_round until convergence (two consecutive zero-commit rounds),
-/// regenerating the candidate stream each round like the optimizer does.
-/// With `speculate` on, every round hints its own policy so the follow-up
-/// round can harvest; the final zero-commit rounds are the guaranteed hits.
-int converge_rounds(RewireEngine& engine, const CellLibrary& lib,
-                    ParallelRewireScheduler& sched, int max_rounds) {
-  const SpeculationHint hint{ProbePolicy::MinCritical, 1e-6};
+/// On a fresh copy of `base`, run_round until convergence (two consecutive
+/// zero-commit rounds), regenerating the candidate stream each round like
+/// the optimizer does. Returns the total committed.
+int converge_rounds(const Prepared& base, const CellLibrary& lib, int threads,
+                    int max_rounds) {
+  Network net = base.net.clone();
+  Placement pl = base.pl;
+  Sta sta(net, lib, pl);
+  RewireEngine engine(net, pl, lib, sta);
+  SchedulerOptions sopt;
+  sopt.threads = threads;
+  ParallelRewireScheduler sched(engine, sopt);
   int total = 0;
   int dry = 0;
   for (int round = 0; round < max_rounds && dry < 2; ++round) {
     const std::vector<ProbeGroup> groups = build_groups(engine, lib);
     if (groups.empty()) break;
-    const int c = sched.run_round(groups, ProbePolicy::MinCritical, 1e-6, &hint);
+    const int c = sched.run_round(groups, ProbePolicy::MinCritical, 1e-6);
     total += c;
     dry = c == 0 ? dry + 1 : 0;
   }
-  sched.drain_speculation();
   return total;
+}
+
+/// `git describe --always --dirty` of the working directory, or "unknown"
+/// outside a git checkout.
+std::string git_commit() {
+  std::string out;
+  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
+    char buf[128];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
+  return out.empty() ? "unknown" : out;
 }
 
 struct CircuitReport {
@@ -154,6 +170,7 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
   CircuitReport rep;
   rep.name = name;
   const Prepared base = prepare(name, lib);
+  const int committed_reference = converge_rounds(base, lib, 1, 40);
 
   // Serial baseline: the raw engine probe loop over the flattened stream.
   {
@@ -237,41 +254,15 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
                        : 1.0;
     }
 
-    // Pipelined speculation: the same converging round loop with the
-    // barrier scheduler and the speculative one, from identical baselines.
-    // Speculation may only change WHEN probes run — the committed totals
-    // must be identical.
-    {
-      Network bnet = base.net.clone();
-      Placement bpl = base.pl;
-      Sta bsta(bnet, lib, bpl);
-      RewireEngine bengine(bnet, bpl, lib, bsta);
-      SchedulerOptions bopt;
-      bopt.threads = threads;
-      bopt.speculate = false;
-      ParallelRewireScheduler barrier(bengine, bopt);
-      pt.committed_loop = converge_rounds(bengine, lib, barrier, 40);
-
-      Network snet = base.net.clone();
-      Placement spl = base.pl;
-      Sta ssta(snet, lib, spl);
-      RewireEngine sengine(snet, spl, lib, ssta);
-      SchedulerOptions sspec;
-      sspec.threads = threads;
-      sspec.speculate = true;
-      ParallelRewireScheduler spec(sengine, sspec);
-      pt.committed_speculative = converge_rounds(sengine, lib, spec, 40);
-
-      pt.speculative_probes = spec.stats().speculative_probes;
-      pt.speculation_hits = spec.stats().speculation_hits;
-      pt.speculation_wasted = spec.stats().speculation_wasted;
-      if (pt.committed_speculative != pt.committed_loop) {
-        std::ostringstream msg;
-        msg << name << " threads=" << threads << ": speculative run committed "
-            << pt.committed_speculative << " moves vs barrier "
-            << pt.committed_loop << " — speculation changed arbitration";
-        throw std::runtime_error(msg.str());
-      }
+    // Committed-move identity against threads 1: the same converging
+    // round loop must commit the same moves at every worker count.
+    pt.committed_loop = converge_rounds(base, lib, threads, 40);
+    if (pt.committed_loop != committed_reference) {
+      std::ostringstream msg;
+      msg << name << " threads=" << threads << ": converging loop committed "
+          << pt.committed_loop << " moves vs " << committed_reference
+          << " at threads 1 — arbitration depends on the worker count";
+      throw std::runtime_error(msg.str());
     }
     rep.points.push_back(pt);
   }
@@ -329,7 +320,9 @@ int main(int argc, char** argv) {
 
   std::ostringstream json;
   json << "{\n  \"bench\": \"parallel_scaling\",\n"
-       << "  \"hardware_threads\": " << ThreadPool::hardware_threads() << ",\n"
+       << "  \"env\": {\"hardware_threads\": " << ThreadPool::hardware_threads()
+       << ", \"build_type\": \"" << RAPIDS_BUILD_TYPE << "\", \"git_commit\": \""
+       << git_commit() << "\"},\n"
        << "  \"unit\": \"probes/sec\",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const CircuitReport& r = reports[i];
@@ -348,11 +341,8 @@ int main(int argc, char** argv) {
            << static_cast<long long>(p.worker_probes_mean) << ", \"min\": "
            << static_cast<long long>(p.worker_probes_min) << ", \"max\": "
            << static_cast<long long>(p.worker_probes_max) << ", \"skew\": "
-           << p.worker_probes_skew << "},\n        \"speculation\": {\"probes\": "
-           << p.speculative_probes << ", \"hits\": " << p.speculation_hits
-           << ", \"wasted\": " << p.speculation_wasted
-           << ", \"committed_loop\": " << p.committed_loop
-           << ", \"committed_speculative\": " << p.committed_speculative << "}}";
+           << p.worker_probes_skew << "}, \"committed_loop\": " << p.committed_loop
+           << "}";
     }
     json << "\n     ]}" << (i + 1 < reports.size() ? "," : "") << "\n";
   }

@@ -1,8 +1,10 @@
 // O(dirty) replica delta sync: differential equality against the full
 // clone path (network bytes, STA state, placement), multi-epoch catch-up
-// through the journal, fallback after out-of-band run_full, and the
-// flow-level guarantees — threads 1 vs N bit-identity on generated
-// circuits and delta-on vs delta-off netlist identity.
+// through the journal, fallback after out-of-band run_full, replica
+// staleness predicates (mid-epoch run_full and partition rebuilds), exact
+// sync counters on a hand-counted trace, and the flow-level guarantees —
+// threads 1 vs N bit-identity on generated circuits and delta-on vs
+// delta-off netlist identity.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -152,6 +154,139 @@ TEST(DeltaSync, FallsBackToFullSyncAfterOutOfBandRunFull) {
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
   const ReplicaSyncStats st = ctx.take_sync_stats();
   EXPECT_GE(st.full_syncs, 2u);  // initial sync + post-run_full fallback
+}
+
+// --- replica staleness predicates (late-adopt regressions) -------------------
+
+TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
+  // Regression: an out-of-band run_full (journal restart) rebuilds the live
+  // timing state WITHOUT advancing the commit epoch. A replica adopted
+  // before it passes the bare epoch check but holds pre-restart arrivals —
+  // the trap the scheduler's old skip-sync fast path fell into.
+  LiveFixture f(90125);
+  ProbeContext ctx(lib035(), 1, 0);
+  ctx.sync(f.engine);
+  EXPECT_TRUE(ctx.in_sync_with(f.engine));
+
+  f.sta.run_full();
+  EXPECT_TRUE(ctx.synced_to(f.engine.epoch()));  // epoch alone says "fresh"
+  EXPECT_FALSE(ctx.in_sync_with(f.engine));      // state version says stale
+
+  ctx.sync(f.engine);  // must fall back to the full path and land bit-exact
+  EXPECT_TRUE(ctx.in_sync_with(f.engine));
+  EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
+  EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
+}
+
+TEST(ProbeContextSync, PartitionRebuildInsideEpochDetectedByGeneration) {
+  // Regression: invalidate_partition() + a rebuild renumbers supergate
+  // slots and re-mints generation stamps without advancing the commit
+  // epoch. A replica that adopted before the rebuild would resolve CrossSg
+  // slots against stale numbering; partition_adopted() alone cannot see it.
+  LiveFixture f(4242);
+  ProbeContext ctx(lib035(), 1, 0);
+  ctx.sync(f.engine, /*with_partition=*/true);
+  EXPECT_TRUE(ctx.partition_adopted());
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+
+  const std::uint64_t gen_before = f.engine.partition().generation;
+  f.engine.invalidate_partition();
+  const std::uint64_t gen_after = f.engine.partition().generation;  // rebuilds
+  EXPECT_GT(gen_after, gen_before);  // monotone stamp — never reset
+
+  // Same epoch, same STA: the replica still *looks* synced...
+  EXPECT_TRUE(ctx.in_sync_with(f.engine));
+  // ...but its adopted partition is provably stale.
+  EXPECT_TRUE(ctx.partition_adopted());
+  EXPECT_FALSE(ctx.partition_current(f.engine));
+
+  ctx.adopt_partition_from(f.engine);
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+}
+
+TEST(ProbeContextSync, SameEpochRepeatSyncReadoptsRebuiltPartition) {
+  // The sync() delta path itself must re-adopt on a stale generation, not
+  // just on a missing adoption: a repeat sync in the same epoch after a
+  // live rebuild used to keep the pre-rebuild slot bookkeeping.
+  LiveFixture f(777);
+  ProbeContext ctx(lib035(), 1, 0);
+  ctx.sync(f.engine, /*with_partition=*/true);
+
+  // Advance one epoch so the journal is live, then sync onto it.
+  const std::vector<SwapCandidate> cands =
+      enumerate_all_swaps(f.engine.partition(), f.net);
+  ASSERT_FALSE(cands.empty());
+  f.engine.commit(EngineMove::swap(cands[0]));
+  ctx.sync(f.engine, /*with_partition=*/true);
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+
+  // Mid-epoch rebuild; the repeat same-epoch sync must notice and re-adopt.
+  f.engine.invalidate_partition();
+  (void)f.engine.partition();
+  EXPECT_FALSE(ctx.partition_current(f.engine));
+  ctx.sync(f.engine, /*with_partition=*/true);
+  EXPECT_TRUE(ctx.partition_current(f.engine));
+}
+
+// --- exact replica-sync counters ---------------------------------------------
+
+TEST(ProbeContextSync, SyncCountersAreExactOnHandCountedTrace) {
+  // Every counter in ReplicaSyncStats is checked against a hand-counted
+  // trace: delta_syncs counts exactly the epoch-advancing journal replays,
+  // delta_commits exactly the commit epochs those replays spanned, and
+  // full_syncs exactly the clone-path syncs. Same-epoch repeat calls are
+  // no-ops and must not inflate anything — the metrics-json contract.
+  LiveFixture f(4242);
+  ProbeContext ctx(lib035(), 1, 0);
+
+  const auto commit_some = [&](int want) {
+    int done = 0;
+    for (int round = 0; round < 8 && done < want; ++round) {
+      const std::vector<SwapCandidate> cands =
+          enumerate_all_swaps(f.engine.partition(), f.net);
+      if (cands.empty()) break;
+      f.engine.commit(EngineMove::swap(
+          cands[static_cast<std::size_t>(done) % cands.size()]));
+      ++done;
+    }
+    return done;
+  };
+
+  ctx.sync(f.engine);  // full #1 (initial clone)
+
+  const int span1 = commit_some(2);
+  ASSERT_GE(span1, 1);
+  ctx.sync(f.engine);  // delta #1, spans span1 commits
+  ctx.sync(f.engine);  // same-epoch repeat: no-op, counts nothing
+  ctx.sync(f.engine);  // same-epoch repeat: no-op, counts nothing
+
+  const int span2 = commit_some(3);
+  ASSERT_GE(span2, 1);
+  ctx.sync(f.engine);  // delta #2, spans span2 commits
+
+  f.sta.run_full();    // out-of-band: journal restart for this replica
+  ctx.sync(f.engine);  // full #2 (state-version fallback, same epoch)
+
+  const int span3 = commit_some(1);
+  ASSERT_GE(span3, 1);
+  ctx.sync(f.engine);  // delta #3, spans span3 commits
+
+  f.engine.invalidate_partition();  // kills the sync journal too
+  (void)f.engine.partition();
+  ctx.sync(f.engine);  // full #3 (journal unavailable, same epoch)
+
+  const ReplicaSyncStats s = ctx.take_sync_stats();
+  EXPECT_EQ(s.syncs, 8u);
+  EXPECT_EQ(s.full_syncs, 3u);
+  EXPECT_EQ(s.delta_syncs, 3u);
+  EXPECT_EQ(s.delta_commits,
+            static_cast<std::uint64_t>(span1 + span2 + span3));
+  EXPECT_GT(s.bytes_full, 0u);
+  EXPECT_GT(s.bytes_delta, 0u);
+
+  // And the replica is still bit-exact after the whole obstacle course.
+  EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
+  EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
 }
 
 // --- flow level ---------------------------------------------------------------

@@ -1,17 +1,21 @@
 // Parallel rewiring scheduler: conflict detector (overlapping vs disjoint
-// cones, cross-supergate moves spanning shards), thread pool, RNG
-// substreams, sharded stats, replica probe equivalence, and the headline
-// guarantee — `threads N` produces bit-identical netlists to `threads 1`.
+// cones, cross-supergate moves spanning shards, weight-balanced sharding),
+// thread pool, RNG substreams, sharded stats, replica probe equivalence,
+// and the headline guarantee — `threads N` produces bit-identical netlists,
+// the same committed-move chain and the same work counters as `threads 1`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
 #include "flow/flow.hpp"
+#include "gen/large.hpp"
 #include "io/blif_writer.hpp"
 #include "netlist/builder.hpp"
 #include "parallel/conflict.hpp"
@@ -23,6 +27,7 @@
 #include "sym/symmetry.hpp"
 #include "test_helpers.hpp"
 #include "timing/sta.hpp"
+#include "trace/provenance.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -227,6 +232,58 @@ TEST(Conflict, CrossSgSignatureSpansBothSupergates) {
   EXPECT_EQ(shard[1], shard[2]);
 }
 
+// --- weight-balanced conflict sharding ---------------------------------------
+
+TEST(Conflict, WeightedSplitBalancesCandidateWeightNotGroupCount) {
+  // One oversized component (8 groups chained through gate 0) where group 0
+  // carries nearly all the probe weight. Count-based dealing would put 4
+  // groups — including the heavy one — on one shard (103 vs 4 probes, the
+  // c1908 skew in miniature). Weight-based dealing isolates the heavy group.
+  std::vector<ConflictSignature> sigs(8);
+  for (int g = 0; g < 8; ++g) {
+    sigs[static_cast<std::size_t>(g)].touched = {0u, static_cast<GateId>(g + 1)};
+  }
+  std::vector<std::uint64_t> weights = {100, 1, 1, 1, 1, 1, 1, 1};
+  const std::vector<int> shard = assign_shards(sigs, weights, 2);
+  for (int g = 2; g < 8; ++g) EXPECT_EQ(shard[static_cast<std::size_t>(g)], shard[1]);
+  EXPECT_NE(shard[0], shard[1]);
+  std::vector<std::uint64_t> load(2, 0);
+  for (int g = 0; g < 8; ++g) {
+    load[static_cast<std::size_t>(shard[static_cast<std::size_t>(g)])] +=
+        weights[static_cast<std::size_t>(g)];
+  }
+  EXPECT_EQ(std::max(load[0], load[1]), 100u);  // heavy group alone, not 103
+  // Deterministic.
+  EXPECT_EQ(shard, assign_shards(sigs, weights, 2));
+}
+
+TEST(Conflict, WeightedAtomicComponentsLandOnLeastWeightedShard) {
+  // Four singleton components, one heavy. Dealing in group-index order onto
+  // the least-weighted shard must pack the three light ones opposite the
+  // heavy one instead of alternating by count.
+  std::vector<ConflictSignature> sigs(4);
+  for (int g = 0; g < 4; ++g) {
+    sigs[static_cast<std::size_t>(g)].touched = {static_cast<GateId>(10 * (g + 1))};
+  }
+  const std::vector<std::uint64_t> weights = {50, 1, 1, 1};
+  const std::vector<int> shard = assign_shards(sigs, weights, 2);
+  EXPECT_EQ(shard[1], shard[2]);
+  EXPECT_EQ(shard[2], shard[3]);
+  EXPECT_NE(shard[0], shard[1]);
+}
+
+TEST(Conflict, UnitWeightsReproduceCountBasedSharding) {
+  // The weighted rule with all-ones weights must reduce exactly to the
+  // historical count rule — including the 10/10/10/10 oversized split the
+  // older Conflict tests pin down.
+  std::vector<ConflictSignature> sigs(40);
+  for (int g = 0; g < 40; ++g) {
+    sigs[static_cast<std::size_t>(g)].touched = {0u, static_cast<GateId>(g + 1)};
+  }
+  const std::vector<std::uint64_t> ones(40, 1);
+  EXPECT_EQ(assign_shards(sigs, ones, 4), assign_shards(sigs, 4));
+}
+
 // --- replica probing ---------------------------------------------------------
 
 TEST(ProbeContext, ReplicaProbesMatchLiveEngine) {
@@ -312,6 +369,105 @@ TEST(SchedulerDeterminism, RepeatedRunsAreIdentical) {
   const ModeRun r2 = run_mode(prepared, lib035(), OptMode::Gsg, opt);
   EXPECT_EQ(blif_of(r1.optimized), blif_of(r2.optimized));
   EXPECT_EQ(r1.result.final_delay, r2.result.final_delay);
+}
+
+// --- thread-count determinism matrix ------------------------------------------
+
+struct ThreadRun {
+  std::string blif;
+  std::vector<std::pair<std::uint64_t, double>> commits;  // (move_id, gain)
+  int chains = 0;
+  OptimizerResult result;
+};
+
+ThreadRun run_at_threads(const PreparedCircuit& prepared, const FlowOptions& base,
+                         int threads) {
+  FlowOptions o = base;
+  o.opt.threads = threads;
+  ProvenanceLog::instance().enable();  // enable() resets the record stream
+  const ModeRun run = run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
+  ThreadRun out;
+  std::string diag;
+  out.chains = ProvenanceLog::instance().resolve_committed_chains(&diag);
+  for (const ProvenanceRecord& rec : ProvenanceLog::instance().records()) {
+    if (rec.stage == ProvenanceStage::Committed) {
+      out.commits.emplace_back(rec.move_id, rec.gain);
+    }
+  }
+  ProvenanceLog::instance().disable();
+  out.blif = blif_of(run.optimized);
+  out.result = run.result;
+  return out;
+}
+
+/// threads {2,4} against threads 1: byte-identical netlist, identical
+/// committed-move provenance chain, and identical work counters.
+void expect_thread_count_identity(const char* name, const PreparedCircuit& prepared,
+                                  const FlowOptions& base) {
+  const ThreadRun ref = run_at_threads(prepared, base, 1);
+  ASSERT_FALSE(ref.blif.empty()) << name;
+  for (const int threads : {2, 4}) {
+    const ThreadRun r = run_at_threads(prepared, base, threads);
+    const std::string cfg = std::string(name) + " threads=" + std::to_string(threads);
+    // Byte-identical netlist...
+    EXPECT_EQ(ref.blif, r.blif) << cfg;
+    // ...and an identical committed-move provenance chain: same move
+    // coordinates (round/group/move), same live gains, same order.
+    EXPECT_EQ(ref.commits, r.commits) << cfg;
+    EXPECT_EQ(ref.chains, r.chains) << cfg;
+    EXPECT_EQ(ref.result.final_delay, r.result.final_delay) << cfg;
+    // Every round is a barrier and each group's probes are a pure function
+    // of the live state, so the work counters are thread-invariant too.
+    // gates_propagated is deliberately absent: each replica refreshes its
+    // damping margins at its own sync points, so the cutoff depth (not any
+    // probe objective) drifts with the worker count.
+    EXPECT_EQ(ref.result.probes, r.result.probes) << cfg;
+    EXPECT_EQ(ref.result.candidates_enumerated, r.result.candidates_enumerated) << cfg;
+    EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
+    EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;
+  }
+}
+
+TEST(SchedulerDeterminism, ThreadCountsIdenticalOnSmallBenchmarks) {
+  FlowOptions base;
+  base.placer.effort = 1.0;
+  base.placer.num_temps = 4;
+  base.opt.max_iterations = 2;
+  base.verify = false;
+  for (const char* name : {"alu2", "c432"}) {
+    const PreparedCircuit prepared = prepare_benchmark(name, lib035(), base);
+    expect_thread_count_identity(name, prepared, base);
+  }
+}
+
+TEST(SchedulerDeterminismSlow, ThreadCountsIdenticalOnLargeBenchmarks) {
+  FlowOptions base;
+  base.placer.effort = 1.0;
+  base.placer.num_temps = 4;
+  base.opt.max_iterations = 2;
+  base.verify = false;
+  for (const char* name : {"c499", "c6288"}) {
+    const PreparedCircuit prepared = prepare_benchmark(name, lib035(), base);
+    expect_thread_count_identity(name, prepared, base);
+  }
+}
+
+TEST(SchedulerDeterminismSlow, ThreadCountsIdenticalOnGeneratedCircuit) {
+  // A generated circuit large enough that epochs recycle gate ids and the
+  // partition is incrementally maintained across many rounds.
+  LargeCircuitOptions lopt;
+  lopt.target_gates = 10000;
+  lopt.seed = 8;
+  lopt.num_inputs = 96;
+  const Network src = make_large_circuit(lopt);
+
+  FlowOptions base;
+  base.placer.effort = 1.0;
+  base.placer.num_temps = 4;
+  base.opt.max_iterations = 1;
+  base.verify = false;
+  const PreparedCircuit prepared = prepare_circuit("gen10000", src, lib035(), base);
+  expect_thread_count_identity("gen10000", prepared, base);
 }
 
 TEST(Scheduler, RoundCommitsImproveOrHold) {

@@ -474,10 +474,12 @@ TEST(TraceDeterminismSlow, MetricsSnapshotIsWorkerCountInvariantOnCounters) {
   MetricsRegistry m1, m4;
   collect_flow_metrics(m1, one.result);
   collect_flow_metrics(m4, four.result);
-  // Deterministic outcome counters are identical across worker counts.
+  // Deterministic outcome and work counters are identical across worker
+  // counts.
   for (const char* key :
        {"engine.swaps_committed", "engine.resizes_committed",
-        "scheduler.rounds", "scheduler.committed", "engine.iterations"}) {
+        "scheduler.rounds", "scheduler.committed", "engine.iterations",
+        "engine.probes", "engine.candidates_enumerated"}) {
     EXPECT_EQ(m1.counter(key), m4.counter(key)) << key;
   }
   // The committed-gain distribution is part of the deterministic output.
