@@ -9,12 +9,16 @@
 //     commit loop — alternate committing a gainful swap and re-querying the
 //       partition, measuring gates re-extracted per commit (incremental)
 //       against network size (what a full rebuild re-extracts every time),
-//       and the wall-clock ratio of the two maintenance modes on the
-//       identical commit stream;
-//     flow A/B — the full gsg+GS flow with incremental maintenance on vs
-//       off: end-to-end seconds, partition counters, probe groups served
-//       from the optimizer's per-slot cache, and a netlist parity check
-//       (the two modes must commit the exact same move stream).
+//       and the wall-clock ratio against a full rebuild
+//       (`invalidate_partition(); partition();`) on the identical commit
+//       stream;
+//     flow — the full gsg+GS flow: end-to-end seconds, partition counters
+//       and probe groups served from the optimizer's per-slot cache, plus
+//       a self-checked rerun (a fresh full extraction beside every
+//       incremental update; any divergence throws) whose netlist must equal
+//       the plain flow's.
+//
+// The report opens with the shared `env` header (bench/bench_env.hpp).
 //
 // Usage: incremental_extract [--out BENCH_extract.json] [--circuits a,b,c]
 //                            [--iters N]
@@ -25,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "engine/rewire_engine.hpp"
 #include "flow/flow.hpp"
 #include "gen/suite.hpp"
@@ -47,7 +52,7 @@ struct CommitLoopPoint {
   int commits = 0;
   double gates_reextracted_per_commit = 0.0;  // incremental mode
   double incremental_update_ms = 0.0;         // partition() after one commit
-  double full_rebuild_ms = 0.0;               // same query, maintenance off
+  double full_rebuild_ms = 0.0;               // full re-extraction instead
   double speedup = 0.0;
 };
 
@@ -62,7 +67,6 @@ CommitLoopPoint commit_loop(const std::string& name, const CellLibrary& lib,
   Placement pl = place(net, lib, popt);
   Sta sta(net, lib, pl);
   RewireEngine engine(net, pl, lib, sta);
-  engine.set_incremental_extraction(incremental);
 
   CommitLoopPoint pt;
   pt.network_gates = net.num_logic_gates();
@@ -73,8 +77,9 @@ CommitLoopPoint commit_loop(const std::string& name, const CellLibrary& lib,
     // this loop gauges partition maintenance cost, not QoR, and every
     // swap is function-preserving. Exact-gain ties break on a
     // slot-independent pin key: enumeration order follows partition slot
-    // numbering, which differs between the two maintenance modes, and the
-    // A/B comparison is only honest over the identical commit stream.
+    // numbering, which differs between incremental updates and full
+    // rebuilds, and the comparison is only honest over the identical
+    // commit stream.
     const GisgPartition& part = engine.partition();
     const auto cands = enumerate_all_swaps(part, net);
     auto pin_key = [](const SwapCandidate& c) {
@@ -94,8 +99,10 @@ CommitLoopPoint commit_loop(const std::string& name, const CellLibrary& lib,
     }
     if (best == nullptr) break;
     engine.commit(EngineMove::swap(*best));
-    // The measured quantity: materializing the partition after one commit.
+    // The measured quantity: materializing the partition after one commit,
+    // by splicing the dirty regions in or by a full re-extraction.
     Timer t;
+    if (!incremental) engine.invalidate_partition();
     engine.partition();
     const double ms = t.seconds() * 1e3;
     if (incremental) {
@@ -128,10 +135,10 @@ struct FlowPoint {
 };
 
 FlowPoint run_flow(const PreparedCircuit& prepared, const CellLibrary& lib,
-                   bool incremental) {
+                   bool self_check) {
   FlowOptions fopt;
   fopt.verify = false;
-  fopt.opt.incremental_extraction = incremental;
+  fopt.opt.self_check = self_check;
   const ModeRun run = run_mode(prepared, lib, OptMode::GsgPlusGS, fopt);
   FlowPoint pt;
   pt.seconds = run.result.seconds;
@@ -153,7 +160,7 @@ struct CircuitReport {
   CommitLoopPoint inc_loop;
   CommitLoopPoint full_loop;
   FlowPoint inc_flow;
-  FlowPoint full_flow;
+  FlowPoint checked_flow;
   bool netlists_match = false;
 };
 
@@ -169,12 +176,12 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib, int iters
 
   FlowOptions fopt;
   const PreparedCircuit prepared = prepare_benchmark(name, lib, fopt);
-  rep.inc_flow = run_flow(prepared, lib, /*incremental=*/true);
-  rep.full_flow = run_flow(prepared, lib, /*incremental=*/false);
-  // The headline correctness claim: identical committed move stream, so
-  // identical netlists — incremental maintenance changes cost, not results.
-  rep.netlists_match = rep.inc_flow.blif == rep.full_flow.blif &&
-                       rep.inc_flow.moves == rep.full_flow.moves;
+  rep.inc_flow = run_flow(prepared, lib, /*self_check=*/false);
+  // The self-checked run throws on the first incremental update that
+  // differs from a fresh full extraction; its netlist must also match.
+  rep.checked_flow = run_flow(prepared, lib, /*self_check=*/true);
+  rep.netlists_match = rep.inc_flow.blif == rep.checked_flow.blif &&
+                       rep.inc_flow.moves == rep.checked_flow.moves;
   return rep;
 }
 
@@ -224,8 +231,9 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"incremental_extract\",\n"
-       << "  \"all_netlists_match\": " << (all_match ? "true" : "false")
+  json << "{\n  \"bench\": \"incremental_extract\",\n";
+  bench::write_env(json);
+  json << "  \"all_netlists_match\": " << (all_match ? "true" : "false")
        << ",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const CircuitReport& r = reports[i];
@@ -237,8 +245,8 @@ int main(int argc, char** argv) {
          << ", \"incremental_update_ms\": " << r.inc_loop.incremental_update_ms
          << ", \"full_rebuild_ms\": " << r.full_loop.full_rebuild_ms
          << ", \"speedup\": " << r.inc_loop.speedup << "},\n"
-         << "     \"flow\": {\"incremental_seconds\": " << r.inc_flow.seconds
-         << ", \"full_seconds\": " << r.full_flow.seconds
+         << "     \"flow\": {\"seconds\": " << r.inc_flow.seconds
+         << ", \"self_check_seconds\": " << r.checked_flow.seconds
          << ", \"moves\": " << r.inc_flow.moves
          << ", \"final_delay_ns\": " << r.inc_flow.final_delay
          << ", \"sgs_reextracted\": " << r.inc_flow.sgs_reextracted

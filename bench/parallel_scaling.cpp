@@ -22,13 +22,13 @@
 //
 // Usage: parallel_scaling [--out BENCH_parallel.json] [--circuits a,b,c]
 //                         [--threads 1,2,4,8] [--min-time SECONDS]
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "engine/rewire_engine.hpp"
 #include "gen/suite.hpp"
 #include "library/cell_library.hpp"
@@ -141,19 +141,6 @@ int converge_rounds(const Prepared& base, const CellLibrary& lib, int threads,
     dry = c == 0 ? dry + 1 : 0;
   }
   return total;
-}
-
-/// `git describe --always --dirty` of the working directory, or "unknown"
-/// outside a git checkout.
-std::string git_commit() {
-  std::string out;
-  if (FILE* p = popen("git describe --always --dirty 2>/dev/null", "r")) {
-    char buf[128];
-    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
-    pclose(p);
-  }
-  while (!out.empty() && (out.back() == '\n' || out.back() == '\r')) out.pop_back();
-  return out.empty() ? "unknown" : out;
 }
 
 struct CircuitReport {
@@ -319,11 +306,9 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"parallel_scaling\",\n"
-       << "  \"env\": {\"hardware_threads\": " << ThreadPool::hardware_threads()
-       << ", \"build_type\": \"" << RAPIDS_BUILD_TYPE << "\", \"git_commit\": \""
-       << git_commit() << "\"},\n"
-       << "  \"unit\": \"probes/sec\",\n  \"circuits\": [\n";
+  json << "{\n  \"bench\": \"parallel_scaling\",\n";
+  bench::write_env(json);
+  json << "  \"unit\": \"probes/sec\",\n  \"circuits\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const CircuitReport& r = reports[i];
     json << "    {\"name\": \"" << r.name << "\", \"cells\": " << r.cells

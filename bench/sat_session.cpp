@@ -1,21 +1,21 @@
 // Paranoid-prover gauge: persistent incremental proof session
 // (sat/proof_session.hpp) versus one throwaway solver per move
-// (sat/window.hpp), emitted as machine-readable JSON (BENCH_sat.json).
+// (sat/window.hpp), emitted as machine-readable JSON (BENCH_sat.json) under
+// the shared `env` header.
 //
 // Two measurements per circuit:
 //
-//   micro — proofs/sec on ONE fixed window, re-proved in a loop. The
-//     per-move prover re-builds solver + Tseitin encoding every iteration;
-//     the warm session reuses its cached cut frontier and only re-derives
-//     the window (hash-cons hits), so the gap isolates the per-move setup
-//     cost the session amortizes.
+//   micro — proofs/sec on ONE fixed window, re-proved in a loop through
+//     both provers. The per-move prover re-builds solver + Tseitin encoding
+//     every iteration; the warm session reuses its cached cut frontier and
+//     only re-derives the window (hash-cons hits), so the gap isolates the
+//     per-move setup cost the session amortizes.
 //
-//   flow — the full `--paranoid` optimize run in both modes from one
-//     prepared placement: committed-move proofs, total encoded gates,
-//     conflicts, the session's cone-cache hits and learned-clause
-//     retention/eviction breakdown (reduce_db rounds), and whether the two
-//     modes proved the SAME move set move-for-move (they must — the test
-//     suite asserts it; the bench just records it).
+//   flow — the full `--paranoid` optimize run (the session is the only
+//     flow prover; `flow --paranoid --self-check` runs the per-move solver
+//     beside it as a reference): committed-move proofs, total encoded
+//     gates, conflicts, the session's cone-cache hits and learned-clause
+//     retention/eviction breakdown (reduce_db rounds).
 //
 // Usage: sat_session [--out BENCH_sat.json] [--circuits a,b,c]
 //                    [--min-time SECONDS]
@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "flow/flow.hpp"
 #include "gen/suite.hpp"
 #include "library/cell_library.hpp"
@@ -130,15 +131,12 @@ struct FlowPoint {
   std::uint64_t roots_structural = 0;
   std::uint64_t roots_by_sat = 0;
   double seconds = 0.0;
-  std::vector<std::uint8_t> verdicts;
 };
 
-FlowPoint run_paranoid(const PreparedCircuit& prepared, const CellLibrary& lib,
-                       bool session) {
+FlowPoint run_paranoid(const PreparedCircuit& prepared, const CellLibrary& lib) {
   FlowOptions options;
   options.verify = false;
   options.opt.paranoid = true;
-  options.opt.sat_session = session;
   const ModeRun run = run_mode(prepared, lib, OptMode::GsgPlusGS, options);
   FlowPoint pt;
   pt.moves_proved = run.result.moves_proved;
@@ -152,7 +150,6 @@ FlowPoint run_paranoid(const PreparedCircuit& prepared, const CellLibrary& lib,
   pt.roots_structural = run.result.proof_roots_structural;
   pt.roots_by_sat = run.result.proof_roots_by_sat;
   pt.seconds = run.result.seconds;
-  pt.verdicts = run.result.paranoid_verdicts;
   return pt;
 }
 
@@ -202,8 +199,9 @@ int main(int argc, char** argv) {
 
   const CellLibrary lib = builtin_library_035();
   std::ostringstream json;
-  json << "{\n  \"bench\": \"sat_session\",\n"
-       << "  \"modes\": [\"session\", \"per_move\"],\n  \"circuits\": [\n";
+  json << "{\n  \"bench\": \"sat_session\",\n";
+  bench::write_env(json);
+  json << "  \"circuits\": [\n";
   bool first = true;
   for (const std::string& name : circuits) {
     std::cerr << "[sat_session] " << name << "\n";
@@ -214,9 +212,7 @@ int main(int argc, char** argv) {
       FlowOptions fopt;
       fopt.verify = false;
       const PreparedCircuit prepared = prepare_benchmark(name, lib, fopt);
-      const FlowPoint with_session = run_paranoid(prepared, lib, /*session=*/true);
-      const FlowPoint per_move = run_paranoid(prepared, lib, /*session=*/false);
-      const bool verdicts_match = with_session.verdicts == per_move.verdicts;
+      const FlowPoint flow = run_paranoid(prepared, lib);
 
       json << (first ? "" : ",\n") << "    {\"name\": \"" << name
            << "\", \"cells\": " << src.num_logic_gates() << ",\n"
@@ -229,15 +225,9 @@ int main(int argc, char** argv) {
                    ? micro.session_proofs_per_sec / micro.per_move_proofs_per_sec
                    : 0.0)
            << ", \"proofs\": " << micro.proofs << "},\n";
-      emit_flow_point(json, "session", with_session);
-      json << ",\n";
-      emit_flow_point(json, "per_move", per_move);
-      json << ",\n     \"verdicts_match_move_for_move\": "
-           << (verdicts_match ? "true" : "false") << "}";
+      emit_flow_point(json, "flow", flow);
+      json << "}";
       first = false;
-      if (!verdicts_match) {
-        std::cerr << "[sat_session] WARNING: verdict mismatch on " << name << "\n";
-      }
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
       return 1;

@@ -54,7 +54,7 @@ void RewireEngine::sample_sta_counters() {
 }
 
 void RewireEngine::refresh_timing_margins() {
-  if (timing_damp_ && !sta_.margins_valid() && !sta_.in_transaction()) {
+  if (!sta_.margins_valid() && !sta_.in_transaction()) {
     sta_.refresh_damping_margins();
   }
   sample_sta_counters();
@@ -94,14 +94,14 @@ const GisgPartition& RewireEngine::partition() {
     extract_span.set_arg("dirty_gates", static_cast<std::int64_t>(pending_dirty_.size()));
     pstats_ += reextract_region(partition_, net_, pending_dirty_, &gisg_scratch_);
     pending_dirty_.clear();
-    if (extract_diff_) {
-      // Differential self-check: the incrementally maintained partition
-      // must be canonically identical to a fresh full extraction of the
-      // current network.
+    if (self_check_) {
+      // Reference: the incrementally maintained partition must be
+      // canonically identical to a fresh full extraction of the current
+      // network.
       const GisgPartition fresh = extract_gisg(net_);
       std::string diag;
       if (!partitions_canonically_equal(partition_, fresh, &diag)) {
-        throw InternalError("extract-diff mismatch: " + diag);
+        throw InternalError("self-check: extract-diff mismatch: " + diag);
       }
     }
   }
@@ -124,10 +124,6 @@ PartitionStats RewireEngine::take_partition_stats() {
 }
 
 void RewireEngine::mark_commit_dirty(const EngineMove& move) {
-  if (!incremental_on_) {
-    partition_valid_ = false;
-    return;
-  }
   // Nothing to record while the partition awaits a full rebuild anyway.
   if (!partition_valid_) return;
   // A touched gate's own supergate must be re-derived, and so must the
@@ -171,9 +167,9 @@ void RewireEngine::mark_commit_dirty(const EngineMove& move) {
 void RewireEngine::record_sync_journal(const EngineMove& move,
                                        std::size_t dirty_from) {
   // The journal can only replay commits whose partition dirt was recorded;
-  // with incremental extraction off (or the partition awaiting a full
-  // rebuild) replicas must full-sync until the next clean commit.
-  if (!incremental_on_ || !partition_valid_) {
+  // while the partition awaits a full rebuild replicas must full-sync until
+  // the next clean commit.
+  if (!partition_valid_) {
     sync_journal_valid_ = false;
     return;
   }
@@ -321,7 +317,7 @@ EngineObjective RewireEngine::probe_with(ProbeScratch& scratch,
   // Probes run damped (objective-exact bounded-cone propagation); every
   // commit path leaves damping off so committed state is the true fixed
   // point. Damping stays disarmed between calls.
-  sta_.set_damping_active(timing_damp_);
+  sta_.set_damping_active(true);
   sta_.propagate();
   sta_.set_damping_active(false);
   const EngineObjective obj{sta_.critical_delay(), sta_.sum_po_arrival()};
@@ -371,35 +367,28 @@ void RewireEngine::set_paranoid(bool on, const ParanoidOptions& options) {
   // never commit, so an eager solver+encoder per worker per epoch would be
   // pure allocation churn on the parallel hot path.
   if (!on) {
-    paranoid_.reset();
     session_.reset();
-  } else if (options.session) {
-    paranoid_.reset();
-  } else {
-    session_.reset();
+    reference_prover_.reset();
   }
 }
 
 void RewireEngine::ensure_prover() {
   RAPIDS_ASSERT(paranoid_on_);
-  if (paranoid_options_.session) {
-    if (!session_) {
-      sat::ProofSession::Options sopt;
-      sopt.conflict_limit = paranoid_options_.window_conflict_limit;
-      session_ = std::make_unique<sat::ProofSession>(sopt);
-      session_->set_tracer(ctx_ != nullptr ? &ctx_->tracer() : nullptr);
-      session_harvested_ = sat::ProofSessionStats{};
-    }
-  } else if (!paranoid_) {
-    paranoid_ = std::make_unique<sat::WindowChecker>(
+  if (!session_) {
+    sat::ProofSession::Options sopt;
+    sopt.conflict_limit = paranoid_options_.window_conflict_limit;
+    session_ = std::make_unique<sat::ProofSession>(sopt);
+    session_->set_tracer(ctx_ != nullptr ? &ctx_->tracer() : nullptr);
+    session_harvested_ = sat::ProofSessionStats{};
+  }
+  if (self_check_ && !reference_prover_) {
+    reference_prover_ = std::make_unique<sat::WindowChecker>(
         paranoid_options_.window_conflict_limit);
   }
 }
 
 std::uint64_t RewireEngine::paranoid_moves_checked() const {
-  if (session_) return session_->stats().moves_checked;
-  if (paranoid_) return paranoid_->stats().moves_checked;
-  return 0;
+  return session_ ? session_->stats().moves_checked : 0;
 }
 
 const sat::ProofSessionStats& RewireEngine::merged_session_stats() const {
@@ -476,11 +465,9 @@ void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
         paranoid_changed_.end());
   }
   ensure_prover();
-  if (session_) {
-    session_->begin(net_, std::span<const GateId>{&root, 1}, paranoid_changed_);
-  } else {
-    paranoid_->begin(net_, std::span<const GateId>{&root, 1}, paranoid_changed_);
-  }
+  const std::span<const GateId> roots{&root, 1};
+  session_->begin(net_, roots, paranoid_changed_);
+  if (reference_prover_) reference_prover_->begin(net_, roots, paranoid_changed_);
 }
 
 EngineObjective RewireEngine::commit(const EngineMove& move) {
@@ -491,16 +478,11 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
   sta_.propagate();
   if (prove) {
     TraceSpan proof_span(span_tracer(), "sat", "proof_window");
-    // Window-prover conflicts attributed to THIS move; escalation conflicts
-    // are added from the full-miter result where one runs.
-    const std::uint64_t conflicts_before =
-        session_ ? session_->stats().conflicts
-                 : (paranoid_ ? paranoid_->stats().conflicts : 0);
+    // Session conflicts attributed to THIS move; escalation conflicts are
+    // added from the full-miter result where one runs.
+    const std::uint64_t conflicts_before = session_->stats().conflicts;
     const auto move_conflicts = [&](std::uint64_t extra) {
-      const std::uint64_t now =
-          session_ ? session_->stats().conflicts
-                   : (paranoid_ ? paranoid_->stats().conflicts : 0);
-      return now - conflicts_before + extra;
+      return session_->stats().conflicts - conflicts_before + extra;
     };
     // The move re-inserts inverters; re-read the created set from the real
     // apply's edit record (ids can differ from the throwaway apply only in
@@ -509,9 +491,19 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
         move.kind == EngineMove::Kind::Swap ? scratch_.swap_edit.added_inverters
                                             : scratch_.cross_edit.added_inverters;
     std::string diag;
-    const bool window_ok =
-        session_ ? session_->check(net_, paranoid_created_, &diag)
-                 : paranoid_->check(net_, paranoid_created_, &diag);
+    const bool window_ok = session_->check(net_, paranoid_created_, &diag);
+    // Reference: the session window carries at least the per-move window's
+    // structure, so it must prove every move the per-move solver proves.
+    std::string ref_diag;
+    if (reference_prover_ &&
+        reference_prover_->check(net_, paranoid_created_, &ref_diag) && !window_ok) {
+      undo_network_edit(scratch_, move);
+      sta_.rollback();
+      session_->abandon();
+      throw InternalError(
+          "self-check: per-move window proves the move but the proof session "
+          "does not (" + diag + ")");
+    }
     if (!window_ok) {
       // The window proof is sound but can be incomplete (a correlation
       // between cut points the window abstraction cannot see). Escalate to
@@ -522,7 +514,7 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
       sta_.rollback();
       // The session cache must track the rolled-back network before the
       // escalation mutates anything else.
-      if (session_) session_->abandon();
+      session_->abandon();
       log_warn() << "paranoid: window proof failed (" << diag
                  << "); escalating to a full miter";
       const Network pre = net_.clone();
@@ -558,11 +550,11 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
       // function may have changed unobservably (downstream don't-cares),
       // which breaks the session's cached-cone grounding — wipe it; fresh
       // encodings of the post-move structure restore the invariant.
-      if (session_) session_->invalidate_all();
+      session_->invalidate_all();
       paranoid_verdicts_.push_back(ProofVerdict::EscalatedProved);
       proof_conflict_hist_.add(static_cast<double>(move_conflicts(full.conflicts)));
     } else {
-      if (session_) session_->keep();
+      session_->keep();
       paranoid_verdicts_.push_back(ProofVerdict::WindowProved);
       proof_conflict_hist_.add(static_cast<double>(move_conflicts(0)));
     }

@@ -89,12 +89,6 @@ struct EngineMove {
 
 /// Paranoid-mode prover configuration.
 struct ParanoidOptions {
-  /// Persistent incremental proof session (sat/proof_session.hpp) instead
-  /// of one throwaway solver+encoding per move (sat/window.hpp). Both
-  /// prove the same move set; the session amortizes encodings and learned
-  /// clauses across the run. Default on; `flow --no-sat-session` is the
-  /// escape hatch.
-  bool session = true;
   /// Conflict budget per window-root miter (< 0: unlimited).
   std::int64_t window_conflict_limit = 1'000'000;
   /// Conflict budget per PO for the full-miter escalation tier.
@@ -102,8 +96,7 @@ struct ParanoidOptions {
 };
 
 /// Per-commit proof outcome, recorded in order so differential tests can
-/// assert session mode and per-move mode prove the SAME move set
-/// move-for-move.
+/// assert two flows prove the SAME move set move-for-move.
 enum class ProofVerdict : std::uint8_t {
   WindowProved,     // window miter UNSAT (structurally or by SAT)
   EscalatedProved,  // window failed, whole-network miter proved; move kept
@@ -216,18 +209,20 @@ class RewireEngine {
     pending_dirty_.clear();
   }
 
-  /// Incremental maintenance switch (default on). When off, every commit
-  /// invalidates the whole partition and the next partition() call pays a
-  /// full O(network) re-extraction — the pre-incremental behavior, kept as
-  /// an A/B lever for bench/incremental_extract and as a fallback.
-  void set_incremental_extraction(bool on) { incremental_on_ = on; }
-  bool incremental_extraction() const { return incremental_on_; }
-
-  /// Self-check mode: after every incremental partition update, run a full
-  /// extraction and require canonical equality (throws InternalError with a
-  /// diagnostic on mismatch). O(network) per commit — for tests and the
-  /// fuzzer's --extract-diff mode only.
-  void set_extract_diff(bool on) { extract_diff_ = on; }
+  /// Self-check mode: every fast path runs beside its reference and any
+  /// disagreement throws InternalError ("self-check: ..."). After every
+  /// incremental partition update a fresh full extraction must be
+  /// canonically equal; every damped probe is replayed undamped (Sta
+  /// damp-diff); in paranoid mode a per-move sat::WindowChecker proves each
+  /// commit beside the proof session, which must prove every move the
+  /// reference proves. Replicas inherit the switch on full sync. Costly —
+  /// tests, fuzzing and `flow --self-check` only.
+  void set_self_check(bool on) {
+    self_check_ = on;
+    sta_.set_damp_diff(on);
+    if (!on) reference_prover_.reset();
+  }
+  bool self_check() const { return self_check_; }
 
   /// True when a CrossSg candidate's three supergate slots still carry the
   /// generation stamps the candidate was enumerated under — the per-sg
@@ -255,9 +250,8 @@ class RewireEngine {
   /// True when the sync journal can replay every commit in (from_epoch,
   /// epoch()] — i.e. a replica that last synced at `from_epoch` can adopt
   /// the delta instead of re-cloning the whole network. False after
-  /// invalidate_partition(), commit_and_revert(), or a commit made with
-  /// incremental extraction off; the journal restarts at the next clean
-  /// commit, so replicas pay one full sync and then return to deltas.
+  /// invalidate_partition() or commit_and_revert(); the journal restarts at
+  /// the next clean commit, so replicas pay one full sync and then return to deltas.
   bool sync_delta_available(std::uint64_t from_epoch) const {
     return sync_journal_valid_ && from_epoch >= sync_base_epoch_ &&
            from_epoch <= epoch_;
@@ -304,38 +298,32 @@ class RewireEngine {
   EngineObjective commit(const EngineMove& move);
 
   /// Verify-every-commit mode: each committed Swap/CrossSg move is proved
-  /// function-preserving at its supergate root before it is kept — by the
-  /// persistent ProofSession (options.session, the default) or by a
-  /// throwaway per-move WindowChecker. Resize moves do not change logic
-  /// and are exempt. All commit paths — serial, parallel arbitration,
-  /// commit_best — run through this check.
+  /// function-preserving at its supergate root before it is kept, by one
+  /// persistent ProofSession for the engine's lifetime. Resize moves do not
+  /// change logic and are exempt. All commit paths — serial, parallel
+  /// arbitration, commit_best — run through this check.
   void set_paranoid(bool on) { set_paranoid(on, ParanoidOptions{}); }
   void set_paranoid(bool on, const ParanoidOptions& options);
   bool paranoid() const { return paranoid_on_; }
-  bool paranoid_session_mode() const { return paranoid_on_ && paranoid_options_.session; }
   const ParanoidOptions& paranoid_options() const { return paranoid_options_; }
 
-  /// Per-move prover counters (null when that prover is not active).
-  const sat::WindowCheckerStats* paranoid_stats() const {
-    return paranoid_ ? &paranoid_->stats() : nullptr;
-  }
   /// Session prover counters: this engine's own session plus everything
-  /// absorbed from per-worker replica sessions (null when paranoid session
-  /// mode is off or no proof has run yet — provers build lazily).
+  /// absorbed from per-worker replica sessions (null when paranoid mode is
+  /// off or no proof has run yet — the session builds lazily).
   const sat::ProofSessionStats* session_stats() const {
     return session_ ? &merged_session_stats() : nullptr;
   }
-  /// The live session itself (solver-level stats for benches; null unless
-  /// session mode).
+  /// The live session itself (solver-level stats for benches; null until
+  /// the first paranoid proof).
   const sat::ProofSession* proof_session() const { return session_.get(); }
-  /// Moves checked by whichever paranoid prover is active.
+  /// Moves checked by the paranoid proof session.
   std::uint64_t paranoid_moves_checked() const;
   /// Moves rejected because even the escalated full miter ran out of
   /// conflict budget (neither proved nor refuted).
   std::uint64_t paranoid_inconclusive() const { return paranoid_inconclusive_; }
-  /// Ordered per-commit proof outcomes (empty unless paranoid). Session
-  /// and per-move modes must produce identical sequences on the same
-  /// commit stream — the property the differential tests pin.
+  /// Ordered per-commit proof outcomes (empty unless paranoid). Flows that
+  /// commit the same stream must produce identical sequences — the
+  /// property the differential tests pin.
   const std::vector<ProofVerdict>& paranoid_verdicts() const {
     return paranoid_verdicts_;
   }
@@ -377,19 +365,13 @@ class RewireEngine {
 
   // --- bounded-cone damped probing -----------------------------------------
 
-  /// Enable slack-margin damped propagation for probes (commits always run
-  /// undamped so the stored inter-transaction state stays the exact fixed
-  /// point everything else — margin refresh, arrival-gap pruning, replica
-  /// sync — reads). Objective-exact by construction; `--no-timing-damp` is
-  /// the A/B hatch.
-  void set_timing_damp(bool on) { timing_damp_ = on; }
-  bool timing_damp() const { return timing_damp_; }
-  /// Arm the Sta-level damped-vs-undamped PO differential on every damped
-  /// probe (throws InternalError on any mismatch).
-  void set_timing_damp_diff(bool on) { sta_.set_damp_diff(on); }
-  /// Refresh the Sta's damping margins if stale (round granularity; no-op
-  /// when damping is off) and pull the Sta's propagation counters into
-  /// this engine's stats window.
+  // Probes always run slack-margin damped; commits always run undamped so
+  // the stored inter-transaction state stays the exact fixed point
+  // everything else — margin refresh, arrival-gap pruning, replica sync —
+  // reads. Objective-exact by construction (self-check replays it).
+
+  /// Refresh the Sta's damping margins if stale (round granularity) and
+  /// pull the Sta's propagation counters into this engine's stats window.
   void refresh_timing_margins();
 
  private:
@@ -428,13 +410,11 @@ class RewireEngine {
   /// Reusable region-update scratch: keeps incremental partition updates
   /// allocation-free (stamped visit arrays, held-capacity worklists).
   GisgRegionScratch gisg_scratch_;
-  bool incremental_on_ = true;
-  bool extract_diff_ = false;
+  bool self_check_ = false;
   PartitionStats pstats_;
   PartitionStats pstats_harvested_;
 
   EngineStats stats_;
-  bool timing_damp_ = true;
   // Cursor over the Sta's monotonic propagation counters: the Sta outlives
   // engine stat windows (and replica engines share one Sta per context), so
   // each engine folds only the delta since its last sample into stats_.
@@ -449,7 +429,7 @@ class RewireEngine {
   // rows, STA arrival/net ids, partition dirty gates) plus one end-offset
   // mark per epoch. Replicas replay the suffix past their last-synced
   // epoch; any event the journal cannot model (external mutation, reverted
-  // bench commits, incremental extraction off) simply invalidates it and
+  // bench commits) simply invalidates it and
   // the next sync falls back to the full clone path.
   struct SyncMark {
     std::uint64_t epoch = 0;
@@ -472,8 +452,9 @@ class RewireEngine {
   ProbeScratch scratch_;
   bool prev_recycling_ = false;
 
-  /// Construct the configured prover if it does not exist yet (lazy:
-  /// replica engines carry the configuration but never prove).
+  /// Construct the proof session (and, under self-check, the per-move
+  /// reference prover) if missing (lazy: replica engines carry the
+  /// configuration but never prove).
   void ensure_prover();
 
   /// Tracer the engine's spans record on: the wired session's, else the
@@ -483,12 +464,12 @@ class RewireEngine {
 
   SessionContext* ctx_ = nullptr;
 
-  // Paranoid-mode move provers (at most one non-null — per-move window
-  // checker or persistent proof session — created lazily by the first
-  // proof) and the reusable scratch for the changed/created gate sets of
-  // the move under proof.
-  std::unique_ptr<sat::WindowChecker> paranoid_;
+  // Paranoid-mode provers, created lazily by the first proof: the
+  // persistent proof session, plus (self-check only) the throwaway-solver
+  // per-move reference it is checked against; and the reusable scratch for
+  // the changed/created gate sets of the move under proof.
   std::unique_ptr<sat::ProofSession> session_;
+  std::unique_ptr<sat::WindowChecker> reference_prover_;
   bool paranoid_on_ = false;
   ParanoidOptions paranoid_options_;
   std::vector<GateId> paranoid_changed_;

@@ -3,13 +3,17 @@
 #include <algorithm>
 #include <utility>
 
+#include "gen/large.hpp"
 #include "gen/suite.hpp"
+#include "io/bench_reader.hpp"
+#include "io/blif_reader.hpp"
 #include "mapping/mapper.hpp"
 #include "session/session.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 #include "verify/equivalence.hpp"
 
 namespace rapids {
@@ -23,6 +27,27 @@ Tracer& flow_tracer(const FlowOptions& options) {
 }
 
 }  // namespace
+
+Network load_circuit(const std::string& spec) {
+  const auto ends_with = [&spec](const std::string& suffix) {
+    return spec.size() >= suffix.size() &&
+           spec.compare(spec.size() - suffix.size(), suffix.size(), suffix) == 0;
+  };
+  if (ends_with(".blif")) return read_blif_file(spec);
+  if (ends_with(".bench")) return read_bench_file(spec);
+  if (spec.rfind("gen:", 0) == 0) {
+    LargeCircuitOptions lopt;
+    const std::string body = spec.substr(4);
+    const std::size_t colon = body.find(':');
+    lopt.target_gates =
+        parse_number<std::size_t>(body.substr(0, colon), spec + " gates", 1, kMaxGenGates);
+    if (colon != std::string::npos) {
+      lopt.seed = parse_number<std::uint64_t>(body.substr(colon + 1), spec + " seed");
+    }
+    return make_large_circuit(lopt);
+  }
+  return make_benchmark(spec);
+}
 
 PreparedCircuit prepare_circuit(const std::string& name, const Network& src,
                                 const CellLibrary& lib, const FlowOptions& options) {
@@ -139,7 +164,6 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
   if (oopt.paranoid) {
     log_info() << name << " " << to_string(mode) << ": paranoid proved "
                << run.result.moves_proved << " commits ("
-               << (oopt.sat_session ? "session" : "per-move solver") << " mode, "
                << run.result.proof_gates_encoded << " gates encoded, "
                << run.result.proof_conflicts << " conflicts"
                << (run.result.paranoid_inconclusive > 0

@@ -42,6 +42,17 @@ struct FlowOptions {
   std::size_t reduce_effort_above = 4000;
 };
 
+/// Accepted ranges of the numeric flow knobs the CLI and serve parse.
+inline constexpr double kMaxEffort = 1000.0;
+inline constexpr int kMaxIterations = 1000;
+inline constexpr int kMaxThreads = 1024;
+inline constexpr std::size_t kMaxGenGates = 100'000'000;
+
+/// Load a circuit by spec: a .blif or .bench file, `gen:<gates>[:seed]`
+/// (the synthetic large-circuit profile, see gen/large.hpp), or a built-in
+/// suite name. Malformed gen: numbers throw InputError.
+Network load_circuit(const std::string& spec);
+
 /// A mapped + placed circuit ready for optimization experiments.
 struct PreparedCircuit {
   std::string name;

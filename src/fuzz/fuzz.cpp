@@ -1,5 +1,6 @@
 #include "fuzz/fuzz.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
@@ -39,21 +40,17 @@ OptMode mode_for_iteration(int iter) {
 /// source network. Returns empty string on success, else a "kind: detail"
 /// failure description.
 std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_seed,
-                           int threads, bool sat_crosscheck, bool paranoid_diff,
-                           bool extract_diff, bool timing_damp_diff) {
+                           int threads, bool sat_crosscheck, bool paranoid_diff) {
   const CellLibrary& lib = builtin_library_035();
   FlowOptions fopt;
   fopt.placer.seed = flow_seed;
   fopt.placer.effort = 1.0;
   fopt.opt.max_iterations = 2;
-  // Arm the engine's incremental-vs-full partition self-check: every
-  // committed move cross-checks the spliced partition against a fresh full
-  // extraction (throws "extract-diff mismatch" on any canonical drift).
-  fopt.opt.extract_diff = extract_diff;
-  // Arm the Sta's per-probe self-check: every damped propagation is
-  // replayed undamped and any PO-arrival divergence throws ("timing-damp-
-  // diff: ..."), so the shrinker can chase the exact probe that broke.
-  fopt.opt.timing_damp_diff = timing_damp_diff;
+  // Fuzz-sized circuits make the references cheap: every flow checks each
+  // fast path against its reference and throws "self-check: ..." on the
+  // first disagreement, so the shrinker can chase the exact update, probe
+  // or cache hit that broke.
+  fopt.opt.self_check = true;
   fopt.verify = false;  // the harness does its own, stronger checks
 
   try {
@@ -79,91 +76,27 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
              std::to_string(parallel.result.probes) + ")";
     }
 
-    if (extract_diff) {
-      // Flow-level parity: incremental partition maintenance must commit
-      // the exact same move stream as full re-extraction per commit.
-      FlowOptions xopt = fopt;
-      xopt.opt.threads = 1;
-      xopt.opt.extract_diff = false;
-      xopt.opt.incremental_extraction = false;
-      const ModeRun full = run_mode(prepared, lib, mode, xopt);
-      if (blif_string(full.optimized) != blif_string(serial.optimized)) {
-        return "extract-parity: incremental and full-rebuild-per-commit flows "
-               "produced different netlists";
-      }
-    }
-
-    if (timing_damp_diff) {
-      // Flow-level parity: slack-margin damped propagation must produce
-      // byte-identical netlists AND the identical final delay to full-cone
-      // propagation — damping only changes how much of the fanout cone a
-      // probe walks, never any probe objective.
-      FlowOptions dopt = fopt;
-      dopt.opt.threads = 1;
-      dopt.opt.timing_damp = false;
-      dopt.opt.timing_damp_diff = false;
-      const ModeRun undamped = run_mode(prepared, lib, mode, dopt);
-      if (blif_string(undamped.optimized) != blif_string(serial.optimized)) {
-        return "timing-damp: damped and full-cone flows produced different "
-               "netlists";
-      }
-      if (undamped.result.final_delay != serial.result.final_delay) {
-        return "timing-damp: damped and full-cone flows report different "
-               "final delays (" + std::to_string(serial.result.final_delay) +
-               " vs " + std::to_string(undamped.result.final_delay) + ")";
-      }
-    }
-
     if (paranoid_diff) {
-      // Prover differential: the incremental proof session and the
-      // per-move throwaway solver must accept the same commit stream with
-      // move-for-move compatible verdicts, and neither may perturb the
-      // optimization result. "Compatible" because the session window is
-      // strictly STRONGER than the per-move window (cached cones carry
-      // more structure): where per-move incompleteness forces a full-miter
-      // escalation, the session may window-prove the same move directly.
-      // Both still keep the move, so the netlists must stay byte-equal.
-      // An Inconclusive reject (conservative, budget-driven) legitimately
-      // drops a move the plain run kept, so the netlist cross-checks only
-      // apply to inconclusive-free runs — at the default budgets on fuzz-
-      // sized circuits that is every run.
+      // Prover differential: self-check runs the per-move window solver
+      // beside the proof session on every commit, and the engine throws
+      // if the reference proves a move the session does not. Proving must
+      // not perturb the optimization either. An Inconclusive reject
+      // (conservative, budget-driven) legitimately drops a move the plain
+      // run kept, so the netlist cross-check only applies to
+      // inconclusive-free runs — at the default budgets on fuzz-sized
+      // circuits that is every run.
       FlowOptions popt = fopt;
       popt.opt.threads = 1;
       popt.opt.paranoid = true;
-      popt.opt.sat_session = true;
-      const ModeRun with_session = run_mode(prepared, lib, mode, popt);
-      popt.opt.sat_session = false;
-      const ModeRun per_move = run_mode(prepared, lib, mode, popt);
-      const auto& sv = with_session.result.paranoid_verdicts;
-      const auto& pv = per_move.result.paranoid_verdicts;
-      if (sv.size() != pv.size()) {
-        return "paranoid: prover modes checked different move counts (" +
-               std::to_string(sv.size()) + " vs " + std::to_string(pv.size()) + ")";
-      }
-      constexpr auto kWindow = static_cast<std::uint8_t>(ProofVerdict::WindowProved);
-      constexpr auto kEscalated =
-          static_cast<std::uint8_t>(ProofVerdict::EscalatedProved);
-      bool any_inconclusive = false;
-      for (std::size_t i = 0; i < sv.size(); ++i) {
-        const bool compatible =
-            sv[i] == pv[i] || (sv[i] == kWindow && pv[i] == kEscalated);
-        if (!compatible) {
-          return "paranoid: incompatible proof verdicts at move " +
-                 std::to_string(i) + " (session " + std::to_string(sv[i]) +
-                 " vs per-move " + std::to_string(pv[i]) + ")";
-        }
-        if (sv[i] != kWindow && sv[i] != kEscalated) any_inconclusive = true;
-      }
-      if (!any_inconclusive) {
-        if (blif_string(with_session.optimized) != blif_string(serial.optimized)) {
-          return "paranoid: session-mode paranoid flow diverged from the plain flow";
-        }
-        if (blif_string(with_session.optimized) != blif_string(per_move.optimized)) {
-          return "paranoid: session-mode and per-move-solver netlists differ";
-        }
-        if (with_session.result.moves_proved != per_move.result.moves_proved) {
-          return "paranoid: proved-move counts differ between prover modes";
-        }
+      const ModeRun proved = run_mode(prepared, lib, mode, popt);
+      const auto& verdicts = proved.result.paranoid_verdicts;
+      const bool any_inconclusive =
+          std::find(verdicts.begin(), verdicts.end(),
+                    static_cast<std::uint8_t>(ProofVerdict::Inconclusive)) !=
+          verdicts.end();
+      if (!any_inconclusive &&
+          blif_string(proved.optimized) != blif_string(serial.optimized)) {
+        return "paranoid: paranoid flow diverged from the plain flow";
       }
     }
 
@@ -180,11 +113,8 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
     }
   } catch (const std::exception& e) {
     const std::string what = e.what();
-    if (what.find("extract-diff mismatch") != std::string::npos) {
-      return "extract-diff: " + what;  // distinct kind: the shrinker chases it
-    }
-    if (what.find("timing-damp-diff") != std::string::npos) {
-      return "timing-damp-diff: " + what;  // per-probe PO-arrival divergence
+    if (what.find("self-check: ") != std::string::npos) {
+      return "self-check: " + what;  // distinct kind: the shrinker chases it
     }
     return "exception: " + what;
   }
@@ -263,9 +193,7 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
 
     const std::string failure = run_experiment(src, mode, flow_seed, options.threads,
                                                options.sat_crosscheck,
-                                               options.paranoid_diff,
-                                               options.extract_diff,
-                                               options.timing_damp_diff);
+                                               options.paranoid_diff);
     if (failure.empty()) {
       log << "[fuzz] iter " << iter << " mode " << mode_name << " ("
           << src.num_logic_gates() << " gates): ok\n";
@@ -289,9 +217,7 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
       const auto still_fails = [&](const Network& candidate) {
         const std::string err = run_experiment(candidate, mode, flow_seed,
                                                options.threads, options.sat_crosscheck,
-                                               options.paranoid_diff,
-                                               options.extract_diff,
-                                               options.timing_damp_diff);
+                                               options.paranoid_diff);
         return !err.empty() && err.compare(0, f.kind.size(), f.kind) == 0;
       };
       minimal = shrink_network(src, still_fails, options.shrink_budget);
@@ -314,29 +240,20 @@ FuzzResult run_fuzz(const FuzzOptions& options, std::ostream& log) {
           << "  circuit seed: " << circuit_seed << "\n"
           << "  flow seed:    " << flow_seed << "\n"
           << "  threads:      1 vs " << options.threads << "\n";
-      // The harness runs the flow with effort=1 / 2 optimizer iterations
-      // (see run_experiment); the repro command must pin both or the CLI
-      // defaults run a different schedule and the bug may not reproduce.
+      // The harness runs the flow self-checked with effort=1 / 2 optimizer
+      // iterations (see run_experiment); the repro command must pin all
+      // three or the CLI defaults run a different schedule and the bug may
+      // not reproduce.
       const std::string base = "rapids flow " + stem + ".blif --mode " + f.mode +
                                " --seed " + std::to_string(flow_seed) +
-                               " --effort 1 --iters 2";
+                               " --effort 1 --iters 2 --self-check";
       if (f.kind == "determinism") {
         txt << "repro: " << base << " --threads 1 --out " << stem << "_t1.blif\n"
             << "       " << base << " --threads " << options.threads << " --out "
             << stem << "_tN.blif\n"
             << "       cmp " << stem << "_t1.blif " << stem << "_tN.blif\n";
-      } else if (f.kind == "timing-damp" || f.kind == "timing-damp-diff") {
-        txt << "repro: " << base << " --threads 1 --timing-damp-diff --out "
-            << stem << "_damp.blif\n"
-            << "       " << base << " --threads 1 --no-timing-damp --out "
-            << stem << "_full.blif\n"
-            << "       cmp " << stem << "_damp.blif " << stem << "_full.blif\n";
-      } else if (f.kind == "extract-diff" || f.kind == "extract-parity") {
-        txt << "repro: " << base << " --extract-diff --threads 1 --out " << stem
-            << "_inc.blif\n"
-            << "       " << base << " --no-incremental --threads 1 --out " << stem
-            << "_full.blif\n"
-            << "       cmp " << stem << "_inc.blif " << stem << "_full.blif\n";
+      } else if (f.kind == "paranoid") {
+        txt << "repro: " << base << " --paranoid --threads 1\n";
       } else {
         txt << "repro: " << base << " --sat-verify --threads 1\n";
       }

@@ -2,12 +2,16 @@
 //
 // Each iteration generates a random mapped+placed circuit (src/gen), runs
 // the full optimize flow under a drawn mode at --threads 1 and --threads N,
-// and cross-checks the results two ways:
+// and cross-checks the results three ways:
 //
 //   determinism — the two netlists must be byte-identical as BLIF (the
 //                 parallel scheduler's core contract);
 //   equivalence — the optimized netlist must match the mapped input, with
-//                 the SAT proof tier on top of random vectors.
+//                 the SAT proof tier on top of random vectors;
+//   self-check  — every flow runs with OptimizerOptions::self_check armed,
+//                 so each fast path (incremental extraction, the swap
+//                 cache, damped timing) is checked against its reference
+//                 on every update, probe and cache hit.
 //
 // A failing iteration is shrunk to a minimal reproducer: primary outputs
 // are dropped and gates bypassed greedily while the failure keeps
@@ -36,23 +40,10 @@ struct FuzzOptions {
   /// Escalate equivalence to a SAT proof (random vectors always run).
   bool sat_crosscheck = true;
   /// Paranoid prover differential: additionally run the serial flow with
-  /// --paranoid in incremental-session mode AND per-move-solver mode, and
-  /// require byte-identical netlists plus move-for-move identical proof
-  /// verdicts between the two (and against the plain run's netlist).
+  /// --paranoid (self-checked, so the per-move window solver runs beside
+  /// the proof session on every commit), and require its netlist to equal
+  /// the plain run's.
   bool paranoid_diff = false;
-  /// Incremental-extraction differential: run the flows with the engine's
-  /// extract-diff self-check armed (incremental partition cross-checked
-  /// against a fresh full extraction after EVERY committed move), and
-  /// additionally require the incremental flow's netlist to be
-  /// byte-identical to a full-rebuild-per-commit flow. Failures shrink to
-  /// minimal reproducers like every other kind.
-  bool extract_diff = false;
-  /// Timing-damping differential: run the flows with the Sta's damp-diff
-  /// self-check armed (every damped probe propagation replayed undamped,
-  /// per-probe PO-arrival equality asserted), and additionally require the
-  /// damped flow's netlist and final delay to be byte-identical to a
-  /// `--no-timing-damp` full-cone flow.
-  bool timing_damp_diff = false;
   /// Shrink failing circuits to minimal reproducers.
   bool shrink = true;
   /// Budget for the shrinker, in flow re-runs per failure.
@@ -66,7 +57,7 @@ struct FuzzFailure {
   int iteration = 0;
   std::uint64_t circuit_seed = 0;
   std::string mode;        // optimizer mode under test
-  std::string kind;  // "equivalence" | "determinism" | "timing-damp" | ...
+  std::string kind;  // "equivalence" | "determinism" | "self-check" | ...
   std::string detail;
   std::string repro_path;  // minimized BLIF (empty if not written)
 };

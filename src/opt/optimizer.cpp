@@ -37,8 +37,6 @@ SchedulerOptions scheduler_options(const OptimizerOptions& o) {
   s.threads = std::max(o.threads, 1);
   s.cone_depth = 2;
   s.seed = o.seed;
-  s.delta_sync = o.delta_replica_sync;
-  s.timing_damp = o.timing_damp;
   s.session = o.session;
   return s;
 }
@@ -58,14 +56,9 @@ class Optimizer {
     engine_.set_session(options.session);
     // Verify-every-commit: each committed move is SAT-proved on its window
     // before it sticks, for every commit path (incl. parallel arbitration).
-    ParanoidOptions popt;
-    popt.session = options.sat_session;
-    engine_.set_paranoid(options.paranoid, popt);
-    engine_.set_incremental_extraction(options.incremental_extraction);
-    engine_.set_extract_diff(options.extract_diff);
-    // Damp-diff rides on the Sta (the engine forwards it); replicas inherit
-    // it through the probe contexts' full-sync path.
-    engine_.set_timing_damp_diff(options.timing_damp_diff);
+    engine_.set_paranoid(options.paranoid);
+    // Replicas inherit self-check through the probe contexts' full sync.
+    engine_.set_self_check(options.self_check);
   }
 
   OptimizerResult run() {
@@ -152,12 +145,6 @@ class Optimizer {
       result.paranoid_verdicts.reserve(engine_.paranoid_verdicts().size());
       for (const ProofVerdict v : engine_.paranoid_verdicts()) {
         result.paranoid_verdicts.push_back(static_cast<std::uint8_t>(v));
-      }
-      if (const auto* proofs = engine_.paranoid_stats()) {
-        result.proof_gates_encoded = proofs->window_gates;
-        result.proof_conflicts = proofs->conflicts;
-        result.proof_roots_structural = proofs->roots_proved_structurally;
-        result.proof_roots_by_sat = proofs->roots_proved_by_sat;
       }
       if (const auto* proofs = engine_.session_stats()) {
         result.proof_gates_encoded = proofs->gates_encoded;
@@ -284,13 +271,12 @@ class Optimizer {
         // PRUNED list additionally depends on the drivers' arrivals at
         // enumeration time; the slack-epoch stamps prove those are still
         // bit-identical, so the cached list equals what re-enumeration
-        // would produce and the commit stream is the same cache on or off.
-        const bool gen_clean =
-            entry.generation != 0 && entry.generation == sg.generation;
+        // would produce (self-check re-enumerates to prove it).
         const bool cache_ok =
-            gen_clean && (!entry.pruned ||
-                          (options_.prune_cache && pruned_cache_valid(sg, entry)));
+            entry.generation != 0 && entry.generation == sg.generation &&
+            (!entry.pruned || pruned_cache_valid(sg, entry));
         if (cache_ok) {
+          if (options_.self_check) check_cached_moves(part, s, entry);
           if (entry.pruned) ++pruned_cache_hits_;
           // A cached EMPTY list never becomes a group, so not counted reused.
           if (entry.moves.empty()) continue;
@@ -298,7 +284,9 @@ class Optimizer {
           ++groups_reused_;
         } else {
           ProbeGroup& group = next_group();
-          swap_moves(part, static_cast<int>(s), group.moves);
+          const std::size_t candidates = swap_moves(part, s, group.moves);
+          candidates_enumerated_ += candidates;
+          entry.pruned = candidates > static_cast<std::size_t>(options_.max_swaps_per_sg);
           entry.moves = group.moves;
           entry.generation = sg.generation;
           entry.timing_epoch = sta_.timing_epoch();
@@ -348,14 +336,15 @@ class Optimizer {
     return true;
   }
 
-  void swap_moves(const GisgPartition& part, int sg_index,
-                  std::vector<EngineMove>& moves) {
+  /// Enumerate slot `s`'s swap moves into `moves`, keeping only the
+  /// `max_swaps_per_sg` largest arrival gaps past the cap. Reads state
+  /// only; returns the candidate count before pruning.
+  std::size_t swap_moves(const GisgPartition& part, std::size_t s,
+                         std::vector<EngineMove>& moves) const {
     std::vector<SwapCandidate> cands =
-        enumerate_swaps(part, sg_index, net_, options_.leaves_only_swaps);
-    candidates_enumerated_ += cands.size();
-    const bool pruned = static_cast<int>(cands.size()) > options_.max_swaps_per_sg;
-    swap_cache_[static_cast<std::size_t>(sg_index)].pruned = pruned;
-    if (pruned) {
+        enumerate_swaps(part, static_cast<int>(s), net_, options_.leaves_only_swaps);
+    const std::size_t candidates = cands.size();
+    if (static_cast<int>(candidates) > options_.max_swaps_per_sg) {
       // Keep the pairs with the largest arrival mismatch between the two
       // drivers: those are where rewiring can shift the critical path.
       std::sort(cands.begin(), cands.end(),
@@ -364,8 +353,27 @@ class Optimizer {
                 });
       cands.resize(static_cast<std::size_t>(options_.max_swaps_per_sg));
     }
+    moves.clear();
     moves.reserve(cands.size());
     for (const SwapCandidate& c : cands) moves.push_back(EngineMove::swap(c));
+    return candidates;
+  }
+
+  /// Self-check reference for a cache hit: re-enumerate the slot and
+  /// require the served list to equal the fresh one, move for move.
+  void check_cached_moves(const GisgPartition& part, std::size_t s,
+                          const SwapGroupCache& entry) {
+    swap_moves(part, s, recheck_moves_);
+    const bool same = std::equal(
+        recheck_moves_.begin(), recheck_moves_.end(), entry.moves.begin(),
+        entry.moves.end(), [](const EngineMove& a, const EngineMove& b) {
+          return a.swap_cand == b.swap_cand;
+        });
+    if (!same) {
+      throw InternalError("self-check: swap cache served a stale move list for "
+                          "the supergate rooted at " +
+                          net_.name(part.sgs[s].root));
+    }
   }
 
   double arrival_gap(const SwapCandidate& c) const {
@@ -429,6 +437,7 @@ class Optimizer {
   std::uint64_t pruned_cache_hits_ = 0;
   std::uint64_t candidates_enumerated_ = 0;
   std::vector<std::size_t> slot_order_;  // root-sorted live slots (reused)
+  std::vector<EngineMove> recheck_moves_;  // self-check re-enumeration scratch
 
   // Held-capacity pools: the per-phase group lists and the id_bound-sized
   // coverage scratch reuse their storage across rounds and phases.

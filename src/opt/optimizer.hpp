@@ -63,49 +63,17 @@ struct OptimizerOptions {
   std::uint64_t seed = 0x5eed5ULL;
   /// Verify-every-commit mode: every committed Swap/CrossSg move is
   /// SAT-proved function-preserving on its invalidated cone before it is
-  /// kept (engine paranoid mode). A failed proof throws InternalError.
+  /// kept, by one incremental proof session for the whole run
+  /// (sat/proof_session.hpp). A failed proof throws InternalError.
   bool paranoid = false;
-  /// Paranoid prover backend: true (default) keeps ONE incremental proof
-  /// session alive for the whole run (sat/proof_session.hpp — cached cone
-  /// encodings, shared learned clauses, per-move activation literals);
-  /// false builds a throwaway solver per move (sat/window.hpp). Both prove
-  /// the same move set; `flow --no-sat-session` is the escape hatch.
-  bool sat_session = true;
-  /// Incremental GISG partition maintenance (default on): commits splice
-  /// their dirty regions into a persistent partition and probe groups of
-  /// untouched supergates are reused across rounds. false re-extracts the
-  /// whole network after every commit and rebuilds every group — the
-  /// pre-incremental behavior, kept as an A/B lever (the final netlist is
-  /// identical either way; bench/incremental_extract measures the gap).
-  bool incremental_extraction = true;
-  /// Self-check: after every incremental partition update, cross-check
-  /// against a fresh full extraction and abort on any canonical difference
-  /// (engine extract-diff mode; O(network) per commit — tests/fuzzing).
-  bool extract_diff = false;
-  /// O(dirty) replica delta sync in the parallel scheduler (default on):
-  /// probe workers adopt only the committed rounds' dirty gates, STA slices
-  /// and free-stack state instead of re-cloning the network each epoch.
-  /// Off = the pre-delta full-clone path, kept as an A/B lever; the final
-  /// netlist is bit-identical either way.
-  bool delta_replica_sync = true;
-  /// Slack-margin damped timing propagation (default on): probe-time STA
-  /// re-propagation stops at gates whose arrival increase stays under a
-  /// PO-seeded slack margin (refreshed per scheduler round), so probe cost
-  /// tracks the real disturbance instead of the structural fanout cone.
-  /// Commits always propagate undamped. The probe objectives — and hence
-  /// the committed netlist — are bit-identical either way; `flow
-  /// --no-timing-damp` is the A/B lever.
-  bool timing_damp = true;
-  /// Self-check: after every damped probe propagation, replay the deferred
-  /// gates undamped and abort if any primary-output arrival moves (proves
-  /// the damping cutoff exact; O(deferred) per probe — tests/fuzzing).
-  bool timing_damp_diff = false;
-  /// Slack-epoch candidate cache (default on): serve arrival-gap-pruned
-  /// swap lists from the per-slot cache while every relevant driver's
-  /// arrival stamp is unchanged, instead of re-enumerating each phase. The
-  /// cached list equals what re-enumeration would produce (stamps prove
-  /// the arrivals are bit-identical), so the commit stream is unchanged.
-  bool prune_cache = true;
+  /// Run every fast path beside its reference and throw InternalError
+  /// ("self-check: ...") on any disagreement: incremental GISG extraction
+  /// vs a fresh full extraction after every update; every swap list served
+  /// from the per-slot cache vs re-enumeration; damped probe timing vs an
+  /// undamped replay; and (paranoid) the proof session vs a per-move
+  /// window solver. Replica delta sync is checked at flow level by threads
+  /// 1 vs N identity. The netlist is unchanged; only time grows.
+  bool self_check = false;
   /// The caller just ran sta.run_full() against this exact network state
   /// (the flow driver does): skip the optimizer's own initial full pass.
   bool sta_is_fresh = false;
@@ -138,13 +106,11 @@ struct OptimizerResult {
   /// Moves rejected with neither proof nor refutation (full-miter budget).
   std::uint64_t paranoid_inconclusive = 0;
   /// Ordered per-commit proof outcomes (engine ProofVerdict values; empty
-  /// unless paranoid). Differential tests assert session and per-move
-  /// prover modes agree move-for-move.
+  /// unless paranoid). Differential tests assert self-checked and plain
+  /// paranoid flows agree move-for-move.
   std::vector<std::uint8_t> paranoid_verdicts;
-  /// Prover work counters (paranoid only). `proof_gates_encoded` is the
-  /// window_gates / gates_encoded analogue of whichever prover ran — the
-  /// headline the session exists to shrink. Session-only counters are 0 in
-  /// per-move mode.
+  /// Proof-session work counters (paranoid only). `proof_gates_encoded` is
+  /// the headline the session exists to shrink.
   std::uint64_t proof_gates_encoded = 0;
   std::uint64_t proof_conflicts = 0;
   std::uint64_t proof_cache_hits = 0;

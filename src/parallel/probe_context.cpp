@@ -50,7 +50,7 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
   // re-cloning the network — valid only while this replica still holds a
   // journal-covered epoch AND the source Sta was not rebuilt wholesale
   // (run_full changes the pin stride / id-space layout the delta assumes).
-  if (delta_sync_ && has_state_ && engine_ &&
+  if (has_state_ && engine_ &&
       source.sta().state_version() == sta_version_ &&
       source.sync_delta_available(epoch_)) {
     if (epoch_ != source.epoch()) {
@@ -130,12 +130,11 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
   // path is held to the same proof discipline as the live engine. The
   // scheduler harvests the per-worker proof counters after each round.
   engine_->set_paranoid(source.paranoid(), source.paranoid_options());
-  // Damping configuration rides along too (margins themselves are NOT
-  // synced — they are a per-Sta accelerator, refreshed replica-side at
-  // round granularity; damped and undamped probes return identical
-  // objectives by construction).
-  engine_->set_timing_damp(source.timing_damp());
-  engine_->set_timing_damp_diff(source.sta().damp_diff());
+  // So does self-check (damping margins themselves are NOT synced — they
+  // are a per-Sta accelerator, refreshed replica-side at round
+  // granularity; damped and undamped probes return identical objectives
+  // by construction, which self-check's undamped replay asserts).
+  engine_->set_self_check(source.self_check());
   partition_adopted_ = false;
   if (with_partition) adopt_partition_from(source);
 

@@ -63,17 +63,13 @@ class ProbeContext {
   /// otherwise (the common swap/resize rounds never read it), so the
   /// scheduler passes its per-round any-cross flag.
   ///
-  /// With delta sync on (the default) and the source journal covering the
-  /// replica's epoch, only the committed rounds' dirty gates, STA slices
-  /// and free-stack state are adopted — O(dirty), not O(network) — with a
-  /// transparent fallback to the full clone path otherwise. Both paths
-  /// leave the replica bit-identical for probe arithmetic.
+  /// While the source journal covers the replica's epoch, only the
+  /// committed rounds' dirty gates, STA slices and free-stack state are
+  /// adopted — O(dirty), not O(network) — with a transparent fallback to
+  /// the full clone path otherwise (always taken by a context's first
+  /// sync, which makes a fresh context the byte-exact reference). Both
+  /// paths leave the replica bit-identical for probe arithmetic.
   void sync(RewireEngine& source, bool with_partition = true);
-
-  /// Delta-sync escape hatch (A/B lever): when off, every sync takes the
-  /// full clone path — the pre-delta behavior.
-  void set_delta_sync(bool on) { delta_sync_ = on; }
-  bool delta_sync() const { return delta_sync_; }
 
   /// Session this context's replica engine records into (null = ambient).
   /// The scheduler wires its session here; replicas rebuilt by later
@@ -134,7 +130,7 @@ class ProbeContext {
   EngineStats take_stats();
 
   /// Replica proof-session counters since the last harvest (zero when the
-  /// replica is not in paranoid session mode); merged into the live
+  /// replica is not in paranoid mode); merged into the live
   /// engine's session stats by the scheduler.
   sat::ProofSessionStats take_session_stats() {
     return engine_ ? engine_->take_session_stats() : sat::ProofSessionStats{};
@@ -165,7 +161,6 @@ class ProbeContext {
   /// against the live stamp to detect mid-epoch rebuilds (see
   /// partition_current()).
   std::uint64_t partition_generation_ = 0;
-  bool delta_sync_ = true;
   /// Source Sta state version captured at the last full sync; a mismatch
   /// (the live side ran run_full) forces the next sync down the full path.
   std::uint64_t sta_version_ = 0;

@@ -36,14 +36,10 @@ ParallelRewireScheduler::ParallelRewireScheduler(RewireEngine& engine,
   }
   probe_stats_ = ShardedStats(pool_->workers());
   options_.threads = pool_->workers();
-  // The damping lever lives on the engines: the live one here, replicas
-  // inherit it at sync time.
-  engine_.set_timing_damp(options_.timing_damp);
   contexts_.reserve(static_cast<std::size_t>(pool_->workers()));
   for (int w = 0; w < pool_->workers(); ++w) {
     contexts_.push_back(
         std::make_unique<ProbeContext>(engine.lib(), options_.seed, w));
-    contexts_.back()->set_delta_sync(options_.delta_sync);
     contexts_.back()->set_session(options_.session);
   }
 }
@@ -132,7 +128,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   round_span.set_arg("groups", static_cast<std::int64_t>(groups.size()));
 
   // Refresh the live engine's damping margins at ROUND granularity (no-op
-  // while they are still valid or damping is off): the serial fast path
+  // while they are still valid): the serial fast path
   // probes the live engine, and arbitration's re-validation probes reuse
   // them until the round's first commit invalidates. seconds_timing is a
   // quoted subset of this round's probe time.

@@ -93,15 +93,6 @@ struct SchedulerOptions {
   int cone_depth = 2;
   /// Base seed for the per-worker RNG substreams.
   std::uint64_t seed = 0x5eed5ULL;
-  /// O(dirty) replica delta sync (see ProbeContext::set_delta_sync). Off =
-  /// every epoch re-clones the network — the pre-delta A/B reference.
-  bool delta_sync = true;
-  /// Slack-margin damped probe propagation (objective-exact bounded-cone
-  /// timing; see Sta::refresh_damping_margins). The scheduler refreshes
-  /// margins at round granularity on the live engine and every replica.
-  /// Off = every probe propagates to the full disturbance cone — the
-  /// `--no-timing-damp` A/B reference.
-  bool timing_damp = true;
   /// Session the round's observability (trace spans, provenance records)
   /// and worker pool belong to. Null = the process-default context: the
   /// scheduler owns a private pool and records on the singletons — the

@@ -16,9 +16,9 @@
 // Protocol: begin() snapshots and encodes the pre-move window; the caller
 // applies the move; check() encodes the post-move window into the same
 // solver and discharges the per-root miters. One throwaway solver per
-// move — the reference prover and the escape hatch for the persistent
-// incremental variant (sat/proof_session.hpp), which reuses encoded cones
-// and learned clauses across all the moves of an optimization run.
+// move — the self-check reference for the persistent incremental variant
+// (sat/proof_session.hpp), which reuses encoded cones and learned clauses
+// across all the moves of an optimization run.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <mutex>
@@ -13,41 +12,18 @@
 #include <utility>
 
 #include "flow/flow.hpp"
-#include "gen/large.hpp"
-#include "gen/suite.hpp"
-#include "io/bench_reader.hpp"
-#include "io/blif_reader.hpp"
 #include "io/blif_writer.hpp"
 #include "library/cell_library.hpp"
 #include "session/session.hpp"
 #include "trace/metrics.hpp"
 #include "trace/provenance.hpp"
 #include "util/assert.hpp"
+#include "util/parse.hpp"
 #include "util/timer.hpp"
 
 namespace rapids {
 
 namespace {
-
-Network load_circuit_spec(const std::string& spec) {
-  auto ends_with = [&spec](const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return spec.size() >= n && spec.compare(spec.size() - n, n, suffix) == 0;
-  };
-  if (ends_with(".blif")) return read_blif_file(spec);
-  if (ends_with(".bench")) return read_bench_file(spec);
-  if (spec.rfind("gen:", 0) == 0) {
-    // gen:<gates>[:seed] — synthetic large-circuit profile.
-    LargeCircuitOptions lopt;
-    const std::string body = spec.substr(4);
-    const std::size_t colon = body.find(':');
-    lopt.target_gates =
-        static_cast<std::size_t>(std::stoull(body.substr(0, colon)));
-    if (colon != std::string::npos) lopt.seed = std::stoull(body.substr(colon + 1));
-    return make_large_circuit(lopt);
-  }
-  return make_benchmark(spec);
-}
 
 OptMode parse_mode(const std::string& m, const std::string& where) {
   if (m == "gsg") return OptMode::Gsg;
@@ -78,33 +54,26 @@ ServeJob parse_serve_job(const std::string& line, int index) {
     }
     const std::string key = kv.substr(0, eq);
     const std::string value = kv.substr(eq + 1);
-    try {
-      if (key == "mode") {
-        job.mode = parse_mode(value, where);
-      } else if (key == "seed") {
-        job.seed = std::stoull(value);
-      } else if (key == "effort") {
-        job.effort = std::stod(value);
-      } else if (key == "iters") {
-        job.iters = std::stoi(value);
-      } else if (key == "threads") {
-        job.threads = std::stoi(value);
-        if (job.threads < 1) throw InputError(where + ": threads must be >= 1");
-      } else if (key == "verify") {
-        job.verify = value != "0" && value != "false";
-      } else if (key == "out") {
-        job.out_blif = value;
-      } else if (key == "metrics") {
-        job.out_metrics = value;
-      } else if (key == "provenance") {
-        job.out_provenance = value;
-      } else {
-        throw InputError(where + ": unknown key: " + key);
-      }
-    } catch (const std::invalid_argument&) {
-      throw InputError(where + ": bad value for " + key + ": " + value);
-    } catch (const std::out_of_range&) {
-      throw InputError(where + ": bad value for " + key + ": " + value);
+    if (key == "mode") {
+      job.mode = parse_mode(value, where);
+    } else if (key == "seed") {
+      job.seed = parse_number<std::uint64_t>(value, where + " " + key);
+    } else if (key == "effort") {
+      job.effort = parse_number(value, where + " " + key, 0.0, kMaxEffort);
+    } else if (key == "iters") {
+      job.iters = parse_number(value, where + " " + key, 1, kMaxIterations);
+    } else if (key == "threads") {
+      job.threads = parse_number(value, where + " " + key, 1, kMaxThreads);
+    } else if (key == "verify") {
+      job.verify = value != "0" && value != "false";
+    } else if (key == "out") {
+      job.out_blif = value;
+    } else if (key == "metrics") {
+      job.out_metrics = value;
+    } else if (key == "provenance") {
+      job.out_provenance = value;
+    } else {
+      throw InputError(where + ": unknown key: " + key);
     }
   }
   return job;
@@ -133,7 +102,7 @@ ServeJobResult run_serve_job(const ServeJob& job) {
     options.verify = job.verify;
 
     const CellLibrary lib = builtin_library_035();
-    const Network src = load_circuit_spec(job.circuit);
+    const Network src = load_circuit(job.circuit);
     PreparedCircuit prepared = prepare_circuit(job.circuit, src, lib, options);
     // Move-adopt, exactly like the one-shot CLI's default path: the flow
     // optimizes the mapped network in place; run_mode collected the flow

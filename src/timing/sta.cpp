@@ -417,7 +417,7 @@ void Sta::propagate() {
     std::size_t i = 0;
     for (const GateId po : net_.primary_outputs()) {
       RAPIDS_ASSERT_MSG(!differs(arrival_[po], diff_po_[i]),
-                        "timing-damp-diff: damped propagation perturbed PO " +
+                        "self-check: damped propagation perturbed PO " +
                             net_.name(po) + " rise " +
                             std::to_string(diff_po_[i].rise) + " -> " +
                             std::to_string(arrival_[po].rise) + " fall " +
@@ -604,7 +604,7 @@ void Sta::refresh_damping_margins() {
   // suppressed increase sitting exactly at the ceiling can land an ulp
   // above the stored PO arrival when replayed forward. 1e-6 ns dwarfs any
   // accumulated double rounding error (~1e-10 over the deepest paths)
-  // while staying far below real slack margins, and --timing-damp-diff
+  // while staying far below real slack margins, and self-check (damp-diff)
   // bit-checks the resulting exactness on every damped propagation.
   constexpr double kDampGuard = 1e-6;
   req_damp_.assign(n, RiseFall{kInf, kInf});

@@ -156,7 +156,6 @@ class Sta {
   /// worklist undamped and assert every primary-output arrival is
   /// bit-identical. Throws InternalError on mismatch.
   void set_damp_diff(bool on) { damp_diff_ = on; }
-  bool damp_diff() const { return damp_diff_; }
   /// Recompute per-gate damping ceilings and forward levels from the
   /// current (committed, fixed-point) state. O(n) reverse pass; call at
   /// round granularity, never per-probe.

@@ -1,10 +1,11 @@
 // O(dirty) replica delta sync: differential equality against the full
-// clone path (network bytes, STA state, placement), multi-epoch catch-up
-// through the journal, fallback after out-of-band run_full, replica
-// staleness predicates (mid-epoch run_full and partition rebuilds), exact
-// sync counters on a hand-counted trace, and the flow-level guarantees —
-// threads 1 vs N bit-identity on generated circuits and delta-on vs
-// delta-off netlist identity.
+// clone path (network bytes, STA state, placement — a fresh context's first
+// sync is always a full clone, so it is the reference), multi-epoch
+// catch-up through the journal, fallback after out-of-band run_full,
+// replica staleness predicates (mid-epoch run_full and partition rebuilds),
+// exact sync counters on a hand-counted trace, and the flow-level
+// guarantees — threads 1 (never syncs) vs N (delta syncs) bit-identity on
+// generated circuits, and swap-cache self-check.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -45,6 +46,17 @@ void expect_replicas_equal(const ProbeContext& delta, const ProbeContext& clone)
   }
 }
 
+/// Assert `ctx` matches the clone-sync reference: a fresh context synced
+/// to `live` now, whose first sync always takes the full clone path.
+void expect_matches_fresh_clone(const ProbeContext& ctx, RewireEngine& live) {
+  ProbeContext fresh(lib035(), 1, 1);
+  fresh.sync(live);
+  const ReplicaSyncStats s = fresh.take_sync_stats();
+  EXPECT_EQ(s.full_syncs, 1u);
+  EXPECT_EQ(s.delta_syncs, 0u);
+  expect_replicas_equal(ctx, fresh);
+}
+
 struct LiveFixture {
   Network net;
   Placement pl;
@@ -70,16 +82,13 @@ TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
   LiveFixture f(4242);
 
   ProbeContext delta_ctx(lib035(), 1, 0);
-  ProbeContext clone_ctx(lib035(), 1, 1);
-  clone_ctx.set_delta_sync(false);
-
   delta_ctx.sync(f.engine);
-  clone_ctx.sync(f.engine);
-  expect_replicas_equal(delta_ctx, clone_ctx);
+  expect_matches_fresh_clone(delta_ctx, f.engine);
 
   // Commit a stream of real swaps on the live engine; after every epoch
-  // both replicas re-sync and must agree byte for byte — and match the
-  // live state (delta path correctness, not just mutual consistency).
+  // the replica re-syncs and must agree byte for byte with a fresh clone
+  // — and match the live state (delta path correctness, not just mutual
+  // consistency).
   int commits = 0;
   for (int round = 0; round < 16 && commits < 10; ++round) {
     const std::vector<SwapCandidate> cands =
@@ -89,10 +98,8 @@ TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
                                            cands.size()]));
     ++commits;
     delta_ctx.sync(f.engine);
-    clone_ctx.sync(f.engine);
     ASSERT_TRUE(delta_ctx.synced_to(f.engine.epoch()));
-    ASSERT_TRUE(clone_ctx.synced_to(f.engine.epoch()));
-    expect_replicas_equal(delta_ctx, clone_ctx);
+    expect_matches_fresh_clone(delta_ctx, f.engine);
     EXPECT_EQ(blif_of(delta_ctx.replica_net()), blif_of(f.net));
     EXPECT_EQ(delta_ctx.replica_sta().critical_delay(), f.sta.critical_delay());
   }
@@ -102,19 +109,13 @@ TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
   // the rest ride the journal).
   const ReplicaSyncStats ds = delta_ctx.take_sync_stats();
   EXPECT_GE(ds.delta_syncs, static_cast<std::uint64_t>(commits));
-  const ReplicaSyncStats cs = clone_ctx.take_sync_stats();
-  EXPECT_EQ(cs.delta_syncs, 0u);
-  EXPECT_GE(cs.full_syncs, static_cast<std::uint64_t>(commits));
-  // Delta syncs move less data than clones on these small commit batches.
+  EXPECT_EQ(ds.full_syncs, 1u);
   EXPECT_GT(ds.bytes_delta, 0u);
 }
 
 TEST(DeltaSync, LaggingReplicaCatchesUpOverMultipleEpochs) {
   LiveFixture f(777);
   ProbeContext lag_ctx(lib035(), 1, 0);
-  ProbeContext clone_ctx(lib035(), 1, 1);
-  clone_ctx.set_delta_sync(false);
-
   lag_ctx.sync(f.engine);
   int commits = 0;
   for (int round = 0; round < 12 && commits < 6; ++round) {
@@ -127,9 +128,8 @@ TEST(DeltaSync, LaggingReplicaCatchesUpOverMultipleEpochs) {
     // several journal marks at once.
     if (commits % 3 == 0) {
       lag_ctx.sync(f.engine);
-      clone_ctx.sync(f.engine);
       ASSERT_TRUE(lag_ctx.synced_to(f.engine.epoch()));
-      expect_replicas_equal(lag_ctx, clone_ctx);
+      expect_matches_fresh_clone(lag_ctx, f.engine);
     }
   }
   ASSERT_GE(commits, 3);
@@ -324,6 +324,9 @@ TEST(DeltaSyncFlowSlow, ThreadCountsBitIdenticalOnGeneratedCircuit) {
 }
 
 TEST(DeltaSyncFlowSlow, DeltaOnOffProduceIdenticalNetlists) {
+  // threads=1 probes the live engine and never syncs, so it is the
+  // flow-level reference for replica sync: threads=4 must ride the delta
+  // path and still commit the identical netlist.
   LargeCircuitOptions lopt;
   lopt.target_gates = 800;
   lopt.seed = 11;
@@ -334,40 +337,45 @@ TEST(DeltaSyncFlowSlow, DeltaOnOffProduceIdenticalNetlists) {
   base.placer.effort = 1.0;
   base.placer.num_temps = 4;
   base.opt.max_iterations = 2;
-  base.opt.threads = 4;
   base.verify = false;
   const PreparedCircuit prepared = prepare_circuit("gen800", src, lib035(), base);
 
-  FlowOptions with_delta = base;
-  with_delta.opt.delta_replica_sync = true;
-  FlowOptions without = base;
-  without.opt.delta_replica_sync = false;
-  const ModeRun on = run_mode(prepared, lib035(), OptMode::Gsg, with_delta);
-  const ModeRun off = run_mode(prepared, lib035(), OptMode::Gsg, without);
-  EXPECT_EQ(on.result.final_delay, off.result.final_delay);
-  EXPECT_EQ(blif_of(on.optimized), blif_of(off.optimized));
-  EXPECT_GT(on.result.replica_delta_syncs, 0u);
-  EXPECT_EQ(off.result.replica_delta_syncs, 0u);
+  FlowOptions serial = base;
+  serial.opt.threads = 1;
+  FlowOptions parallel = base;
+  parallel.opt.threads = 4;
+  const ModeRun one = run_mode(prepared, lib035(), OptMode::Gsg, serial);
+  const ModeRun four = run_mode(prepared, lib035(), OptMode::Gsg, parallel);
+  EXPECT_EQ(one.result.final_delay, four.result.final_delay);
+  EXPECT_EQ(blif_of(one.optimized), blif_of(four.optimized));
+  EXPECT_EQ(one.result.replica_delta_syncs + one.result.replica_full_syncs, 0u);
+  EXPECT_GT(four.result.replica_delta_syncs, 0u);
 }
 
 TEST(DeltaSyncFlowSlow, PruneCacheOnOffProduceIdenticalNetlists) {
+  // Self-check re-enumerates every swap list the per-slot cache serves —
+  // slack-epoch pruned lists included — and throws on any difference; the
+  // re-enumeration must not change the netlist either.
   const Network src = testing::random_mapped_network(55);
 
   FlowOptions base;
   base.placer.effort = 1.0;
   base.placer.num_temps = 4;
   base.opt.max_iterations = 3;
+  // A low cap makes most supergates' lists arrival-gap pruned.
+  base.opt.max_swaps_per_sg = 4;
   base.verify = false;
   const PreparedCircuit prepared = prepare_circuit("prune", src, lib035(), base);
 
-  FlowOptions cached = base;
-  cached.opt.prune_cache = true;
-  FlowOptions uncached = base;
-  uncached.opt.prune_cache = false;
-  const ModeRun on = run_mode(prepared, lib035(), OptMode::GsgPlusGS, cached);
-  const ModeRun off = run_mode(prepared, lib035(), OptMode::GsgPlusGS, uncached);
-  EXPECT_EQ(on.result.final_delay, off.result.final_delay);
-  EXPECT_EQ(blif_of(on.optimized), blif_of(off.optimized));
+  FlowOptions checked = base;
+  checked.opt.self_check = true;
+  const ModeRun plain = run_mode(prepared, lib035(), OptMode::GsgPlusGS, base);
+  ModeRun on;
+  ASSERT_NO_THROW(on = run_mode(prepared, lib035(), OptMode::GsgPlusGS, checked));
+  EXPECT_GT(on.result.pruned_groups_cached, 0u);
+  EXPECT_EQ(on.result.pruned_groups_cached, plain.result.pruned_groups_cached);
+  EXPECT_EQ(on.result.final_delay, plain.result.final_delay);
+  EXPECT_EQ(blif_of(on.optimized), blif_of(plain.optimized));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 
 #include "flow/flow.hpp"
 #include "test_helpers.hpp"
+#include "util/assert.hpp"
 
 namespace rapids {
 namespace {
@@ -80,6 +81,16 @@ TEST(Flow, CustomNetworkThroughPreparedCircuit) {
   const PreparedCircuit p = prepare_circuit("custom", src, lib035(), fast_flow());
   const ModeRun run = run_mode(p, lib035(), OptMode::GsgPlusGS, fast_flow());
   EXPECT_TRUE(run.verified);
+}
+
+TEST(Flow, LoadCircuitRejectsMalformedGenSpecs) {
+  // The CLI and serve share this loader; a numeric prefix ("10x") or a
+  // non-number must be an InputError, not a bare std::stoull failure.
+  for (const char* spec : {"gen:abc", "gen:10:x", "gen:10x", "gen:", "gen:0",
+                           "gen:-5", "gen:10:"}) {
+    EXPECT_THROW(load_circuit(spec), InputError) << spec;
+  }
+  EXPECT_GT(load_circuit("gen:300:7").num_logic_gates(), 0u);
 }
 
 }  // namespace

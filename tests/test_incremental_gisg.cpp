@@ -256,13 +256,13 @@ struct EngineFixture {
 };
 
 TEST(IncrementalGisg, EngineCommitStreamStaysCanonical) {
-  // Commit a stream of gainful swaps through the engine with the
-  // extract-diff self-check armed: every incremental splice is cross-
-  // checked against a fresh full extraction inside partition().
+  // Commit a stream of gainful swaps through the engine with self-check
+  // armed: every incremental splice is cross-checked against a fresh full
+  // extraction inside partition().
   EngineFixture f;
   Sta sta(f.net, f.lib, f.pl);
   RewireEngine engine(f.net, f.pl, f.lib, sta);
-  engine.set_extract_diff(true);
+  engine.set_self_check(true);
 
   const Network golden = f.net.clone();
   int commits = 0;
@@ -411,7 +411,7 @@ TEST(IncrementalGisgSlowFlow, ExtractDiffHoldsThroughFullFlows) {
   const CellLibrary& lib = lib035();
   for (const std::string name : {"alu2", "c432", "c499"}) {
     FlowOptions fopt;
-    fopt.opt.extract_diff = true;
+    fopt.opt.self_check = true;
     const PreparedCircuit prepared = prepare_benchmark(name, lib, fopt);
     const ModeRun run = run_mode(prepared, lib, OptMode::GsgPlusGS, fopt);
     EXPECT_TRUE(run.verified) << name;
@@ -423,19 +423,18 @@ TEST(IncrementalGisgSlowFlow, ExtractDiffHoldsThroughFullFlows) {
 }
 
 TEST(IncrementalGisgSlowFlow, IncrementalAndFullRebuildFlowsMatchByteForByte) {
-  // Flow-level parity: incremental maintenance changes cost, not results —
-  // the committed move stream and final netlist are identical with the
-  // subsystem on or off.
+  // Flow-level parity: the self-checked flow runs a full re-extraction
+  // beside every incremental update (and re-enumerates every cached swap
+  // list), and that reference changes nothing — the committed move stream
+  // and final netlist equal the plain flow's.
   const CellLibrary& lib = lib035();
   for (const std::string name : {"alu2", "c432"}) {
     FlowOptions fopt;
     const PreparedCircuit prepared = prepare_benchmark(name, lib, fopt);
 
-    FlowOptions inc = fopt;
-    inc.opt.incremental_extraction = true;
-    const ModeRun run_inc = run_mode(prepared, lib, OptMode::GsgPlusGS, inc);
+    const ModeRun run_inc = run_mode(prepared, lib, OptMode::GsgPlusGS, fopt);
     FlowOptions full = fopt;
-    full.opt.incremental_extraction = false;
+    full.opt.self_check = true;
     const ModeRun run_full = run_mode(prepared, lib, OptMode::GsgPlusGS, full);
 
     std::ostringstream a, b2;
@@ -450,20 +449,17 @@ TEST(IncrementalGisgSlowFlow, IncrementalAndFullRebuildFlowsMatchByteForByte) {
 
 TEST(IncrementalGisgSlowFlow, ParanoidFlowProvesSameMovesWithIncrementalPartition) {
   // Proof-session invalidation and partition dirt must stay in lockstep:
-  // a paranoid flow with incremental maintenance proves the same move set
-  // move-for-move as one with full rebuilds.
+  // a paranoid flow with every incremental update checked against a full
+  // re-extraction proves the same move set move-for-move as a plain one.
   const CellLibrary& lib = lib035();
   FlowOptions fopt;
   fopt.opt.paranoid = true;
   const PreparedCircuit prepared = prepare_benchmark("c432", lib, fopt);
 
   FlowOptions inc = fopt;
-  inc.opt.incremental_extraction = true;
-  inc.opt.extract_diff = true;
+  inc.opt.self_check = true;
   const ModeRun run_inc = run_mode(prepared, lib, OptMode::GsgPlusGS, inc);
-  FlowOptions full = fopt;
-  full.opt.incremental_extraction = false;
-  const ModeRun run_full = run_mode(prepared, lib, OptMode::GsgPlusGS, full);
+  const ModeRun run_full = run_mode(prepared, lib, OptMode::GsgPlusGS, fopt);
 
   EXPECT_TRUE(run_inc.verified);
   EXPECT_TRUE(run_full.verified);

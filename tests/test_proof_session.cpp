@@ -1,8 +1,9 @@
 // Persistent incremental proof sessions (sat/proof_session.hpp): window
 // protocol, cross-move cache reuse and invalidation (by affected-cone
 // epoch and by recycled gate id), stats delta accounting, and the
-// engine-level differential against the per-move WindowChecker — session
-// mode must prove the SAME move set, move-for-move.
+// self-check differential against the per-move WindowChecker — a
+// self-checked paranoid flow must prove the SAME move set, move-for-move,
+// as a plain one.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -287,21 +288,21 @@ TEST(Paranoid, InconclusiveAndProvedStayDisjoint) {
   // inconclusive (window Unknown -> full-miter Unknown -> conservative
   // reject). moves_checked must partition exactly into proved verdicts and
   // inconclusive rejects, the rejects must be rolled back cleanly, and the
-  // accounting must agree between prover modes.
+  // accounting must hold with the per-move reference prover armed too.
   const CellLibrary& lib = rapids::testing::lib035();
   const Network src = make_benchmark("c432");
   const Network golden = rapids::testing::mapped(src);
-  for (const bool session : {true, false}) {
+  for (const bool self_check : {false, true}) {
     Network net = golden.clone();
     Placement pl = place(net, lib, PlacerOptions{});
     Sta sta(net, lib, pl);
     sta.run_full();
     RewireEngine engine(net, pl, lib, sta);
     ParanoidOptions popt;
-    popt.session = session;
     popt.window_conflict_limit = 0;
     popt.miter_conflict_limit = 0;
     engine.set_paranoid(true, popt);
+    engine.set_self_check(self_check);
 
     // Commit the first candidate of each non-trivial supergate (fresh
     // extraction per commit, as the engine's epoch discipline demands).
@@ -348,11 +349,11 @@ TEST(Paranoid, InconclusiveAndProvedStayDisjoint) {
     EXPECT_EQ(inconclusive, engine.paranoid_inconclusive());
     EXPECT_EQ(proved + inconclusive, engine.paranoid_moves_checked());
     // With a zero budget c432's windows cannot all prove structurally.
-    EXPECT_GT(inconclusive, 0u) << (session ? "session" : "per-move");
+    EXPECT_GT(inconclusive, 0u) << "self_check=" << self_check;
 
     // Rejected moves were rolled back: whatever was kept is equivalent.
     const EquivalenceResult eq = check_equivalence(golden, net);
-    EXPECT_TRUE(eq.equivalent) << (session ? "session" : "per-move");
+    EXPECT_TRUE(eq.equivalent) << "self_check=" << self_check;
   }
 }
 
@@ -361,28 +362,27 @@ TEST(Paranoid, InconclusiveAndProvedStayDisjoint) {
 class ParanoidSessionFlowSlow : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ParanoidSessionFlowSlow, SessionMatchesPerMoveSolverMoveForMove) {
-  // Acceptance property: `flow --paranoid` in session mode proves the same
-  // move set as per-move-solver mode — move-for-move identical verdicts,
-  // identical netlists — while encoding fewer gates in total.
+  // Acceptance property: `flow --paranoid --self-check` runs the per-move
+  // window solver beside the proof session on every commit (the engine
+  // throws if the reference proves a move the session does not), and the
+  // reference changes nothing: netlist and verdicts equal a plain paranoid
+  // run's. bench/sat_session times the session against the per-move solver.
   const CellLibrary& lib = rapids::testing::lib035();
   FlowOptions options;
   options.opt.paranoid = true;
   const PreparedCircuit prepared = prepare_benchmark(GetParam(), lib, options);
 
-  options.opt.sat_session = true;
-  const ModeRun with_session = run_mode(prepared, lib, OptMode::GsgPlusGS, options);
-  options.opt.sat_session = false;
-  const ModeRun per_move = run_mode(prepared, lib, OptMode::GsgPlusGS, options);
+  const ModeRun plain = run_mode(prepared, lib, OptMode::GsgPlusGS, options);
+  options.opt.self_check = true;
+  ModeRun checked;
+  ASSERT_NO_THROW(checked = run_mode(prepared, lib, OptMode::GsgPlusGS, options));
 
-  EXPECT_TRUE(with_session.verified);
-  EXPECT_TRUE(per_move.verified);
-  EXPECT_EQ(blif_of(with_session.optimized), blif_of(per_move.optimized));
-  EXPECT_EQ(with_session.result.paranoid_verdicts, per_move.result.paranoid_verdicts);
-  EXPECT_EQ(with_session.result.moves_proved, per_move.result.moves_proved);
-  EXPECT_GT(with_session.result.moves_proved, 0u);
-  // The headline: the session re-encodes less than windows-from-scratch.
-  EXPECT_LT(with_session.result.proof_gates_encoded,
-            per_move.result.proof_gates_encoded);
+  EXPECT_TRUE(plain.verified);
+  EXPECT_TRUE(checked.verified);
+  EXPECT_EQ(blif_of(plain.optimized), blif_of(checked.optimized));
+  EXPECT_EQ(plain.result.paranoid_verdicts, checked.result.paranoid_verdicts);
+  EXPECT_EQ(plain.result.moves_proved, checked.result.moves_proved);
+  EXPECT_GT(plain.result.moves_proved, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1, ParanoidSessionFlowSlow,
@@ -394,7 +394,6 @@ TEST(ParanoidSessionFlowSlow, ThreadsStayBitIdenticalInSessionMode) {
   const CellLibrary& lib = rapids::testing::lib035();
   FlowOptions options;
   options.opt.paranoid = true;
-  options.opt.sat_session = true;
   const PreparedCircuit prepared = prepare_benchmark("c499", lib, options);
 
   options.opt.threads = 1;

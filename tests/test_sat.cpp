@@ -694,20 +694,20 @@ TEST(ParanoidFlowSlow, EveryCommittedMoveIsProved) {
 
 TEST(Paranoid, EngineCommitRunsTheProver) {
   // A legitimate swap committed through a paranoid engine must pass the
-  // prover and be counted, for BOTH prover backends (the rejection paths
-  // are pinned down by the WindowChecker/ProofSession tests above).
+  // proof session and be counted, with and without the per-move reference
+  // prover beside it (the rejection paths are pinned down by the
+  // WindowChecker/ProofSession tests above).
   const CellLibrary& lib = rapids::testing::lib035();
   const Network src = make_benchmark("alu2");
-  for (const bool session : {false, true}) {
+  for (const bool self_check : {false, true}) {
     Network net = rapids::testing::mapped(src);
     Placement pl = place(net, lib, PlacerOptions{});
     Sta sta(net, lib, pl);
     sta.run_full();
     RewireEngine engine(net, pl, lib, sta);
-    ParanoidOptions popt;
-    popt.session = session;
-    engine.set_paranoid(true, popt);
-    EXPECT_EQ(engine.paranoid_session_mode(), session);
+    engine.set_paranoid(true);
+    engine.set_self_check(self_check);
+    EXPECT_EQ(engine.session_stats(), nullptr);  // built by the first proof
 
     const GisgPartition& part = engine.partition();
     // Find a swappable candidate.
@@ -722,16 +722,9 @@ TEST(Paranoid, EngineCommitRunsTheProver) {
     EXPECT_EQ(engine.paranoid_moves_checked(), 1u);
     ASSERT_EQ(engine.paranoid_verdicts().size(), 1u);
     EXPECT_EQ(engine.paranoid_verdicts()[0], ProofVerdict::WindowProved);
-    if (session) {
-      ASSERT_NE(engine.session_stats(), nullptr);
-      EXPECT_EQ(engine.session_stats()->moves_checked, 1u);
-      EXPECT_EQ(engine.session_stats()->windows_kept, 1u);
-      EXPECT_EQ(engine.paranoid_stats(), nullptr);
-    } else {
-      ASSERT_NE(engine.paranoid_stats(), nullptr);
-      EXPECT_EQ(engine.paranoid_stats()->moves_checked, 1u);
-      EXPECT_EQ(engine.session_stats(), nullptr);
-    }
+    ASSERT_NE(engine.session_stats(), nullptr);
+    EXPECT_EQ(engine.session_stats()->moves_checked, 1u);
+    EXPECT_EQ(engine.session_stats()->windows_kept, 1u);
   }
 }
 

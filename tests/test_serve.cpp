@@ -66,6 +66,15 @@ TEST(Serve, RejectsMalformedJobLines) {
   EXPECT_THROW(parse_serve_job("id ckt threads=0", 0), InputError);
 }
 
+TEST(Serve, RejectsMalformedNumbers) {
+  // Every numeric key must parse whole, finite and in range.
+  for (const char* line :
+       {"id ckt threads=2x", "id ckt effort=nan", "id ckt effort=-1", "id ckt iters=-1",
+        "id ckt seed=-3", "id ckt seed=7q", "id ckt threads=", "id ckt effort=inf"}) {
+    EXPECT_THROW(parse_serve_job(line, 0), InputError) << line;
+  }
+}
+
 TEST(ServeSlow, BatchJobsMatchOneShotFlows) {
   const std::string dir = ::testing::TempDir();
   std::vector<ServeJob> jobs = {

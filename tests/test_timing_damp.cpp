@@ -2,7 +2,8 @@
 // probe cost track the real disturbance (O(1) on an off-critical branch)
 // while staying objective-exact — damped and full-cone propagation return
 // bit-identical critical delays, PO arrival sums, and (at flow level)
-// byte-identical netlists at every thread count.
+// byte-identical netlists at every thread count, against the self-checked
+// flow that replays every damped probe undamped.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -250,7 +251,7 @@ TEST(TimingDamp, DampDiffSelfCheckPassesAndMarginsFollowCommits) {
   EXPECT_EQ(sta.margin_refreshes(), 2u);
 }
 
-// --- flow-level determinism: damp {on,off} x threads {1,4} -------------------
+// --- flow-level determinism: damped threads {1,4} vs the self-checked run ---
 
 std::string blif_of(const Network& net) {
   std::ostringstream os;
@@ -259,40 +260,29 @@ std::string blif_of(const Network& net) {
 }
 
 ModeRun run_damp_config(const PreparedCircuit& prepared, const FlowOptions& base,
-                        int threads, bool damp, bool diff = false) {
+                        int threads, bool self_check) {
   FlowOptions o = base;
   o.opt.threads = threads;
-  o.opt.timing_damp = damp;
-  o.opt.timing_damp_diff = diff;
+  o.opt.self_check = self_check;
   return run_mode(prepared, lib035(), OptMode::GsgPlusGS, o);
 }
 
 void expect_damp_identity(const char* name, const PreparedCircuit& prepared,
                           const FlowOptions& base) {
-  const ModeRun ref = run_damp_config(prepared, base, 1, /*damp=*/false);
+  // Reference: the threads-1 self-checked flow replays every damped probe's
+  // deferred set undamped and throws if any PO arrival moves.
+  const ModeRun ref = run_damp_config(prepared, base, 1, /*self_check=*/true);
   const std::string ref_blif = blif_of(ref.optimized);
   ASSERT_FALSE(ref_blif.empty()) << name;
-  EXPECT_EQ(ref.result.damp_cutoffs, 0u) << name;
   for (const int threads : {1, 4}) {
-    for (const bool damp : {false, true}) {
-      if (threads == 1 && !damp) continue;  // the reference itself
-      const ModeRun r = run_damp_config(prepared, base, threads, damp);
-      const std::string cfg = std::string(name) + " threads=" +
-                              std::to_string(threads) +
-                              (damp ? " damp" : " nodamp");
-      EXPECT_EQ(ref_blif, blif_of(r.optimized)) << cfg;
-      EXPECT_EQ(ref.result.final_delay, r.result.final_delay) << cfg;
-      EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
-      EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;
-      if (!damp) {
-        EXPECT_EQ(r.result.damp_cutoffs, 0u) << cfg;
-        EXPECT_EQ(r.result.margin_refreshes, 0u) << cfg;
-      }
-    }
+    const ModeRun r = run_damp_config(prepared, base, threads, /*self_check=*/false);
+    const std::string cfg = std::string(name) + " threads=" + std::to_string(threads);
+    EXPECT_EQ(ref_blif, blif_of(r.optimized)) << cfg;
+    EXPECT_EQ(ref.result.final_delay, r.result.final_delay) << cfg;
+    EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
+    EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;
+    EXPECT_GT(r.result.margin_refreshes, 0u) << cfg;
   }
-  // The per-probe differential self-check must also hold flow-wide.
-  const ModeRun diff = run_damp_config(prepared, base, 1, true, /*diff=*/true);
-  EXPECT_EQ(ref_blif, blif_of(diff.optimized)) << name << " damp-diff";
 }
 
 TEST(TimingDampFlow, DampOnOffThreadsBitIdenticalOnSmallBenchmarks) {

@@ -5,6 +5,7 @@
 
 #include "util/assert.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -119,6 +120,31 @@ TEST(Assert, MessageIncluded) {
     FAIL();
   } catch (const InternalError& e) {
     EXPECT_NE(std::string(e.what()).find("specific context"), std::string::npos);
+  }
+}
+
+TEST(ParseNumber, AcceptsWholeInRangeValues) {
+  EXPECT_EQ(parse_number("42", "--n", 1, 100), 42);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615", "--seed"),
+            18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(parse_number("2.5", "--effort", 0.0, 10.0), 2.5);
+}
+
+TEST(ParseNumber, RejectsPrefixesNonFiniteAndOutOfRange) {
+  EXPECT_THROW(parse_number("1x", "--threads", 1, 64), InputError);
+  EXPECT_THROW(parse_number("abc", "--threads", 1, 64), InputError);
+  EXPECT_THROW(parse_number("", "--threads", 1, 64), InputError);
+  EXPECT_THROW(parse_number("0", "--threads", 1, 64), InputError);
+  EXPECT_THROW(parse_number("99999999999", "--threads", 1, 64), InputError);
+  EXPECT_THROW(parse_number("nan", "--effort", 0.0, 10.0), InputError);
+  EXPECT_THROW(parse_number("inf", "--effort", 0.0, 10.0), InputError);
+  EXPECT_THROW(parse_number("-1", "--effort", 0.0, 10.0), InputError);
+  EXPECT_THROW(parse_number<std::uint64_t>("-3", "--seed"), InputError);
+  try {
+    parse_number("2x", "--threads", 1, 64);
+    FAIL() << "no throw";
+  } catch (const InputError& e) {
+    EXPECT_NE(std::string(e.what()).find("--threads"), std::string::npos);
   }
 }
 

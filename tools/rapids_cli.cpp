@@ -4,9 +4,7 @@
 //          [--mode gsg|gs|gsg+gs]
 //          [--seed N] [--effort F] [--iters N] [--threads N] [--buffers]
 //          [--out out.blif] [--place-out placement.txt] [--no-verify]
-//          [--sat-verify] [--paranoid] [--sat-session|--no-sat-session]
-//          [--no-incremental] [--extract-diff] [--no-delta-sync]
-//          [--no-prune-cache] [--no-timing-damp] [--timing-damp-diff]
+//          [--sat-verify] [--paranoid] [--self-check]
 //          [--trace out.json] [--metrics-json out.json]
 //          [--provenance out.json]
 //       Map, place, optimize and report; optionally write results.
@@ -16,18 +14,13 @@
 //       bit-identical to --threads 1 (deterministic commit arbitration).
 //       --sat-verify escalates the final equivalence check to a SAT proof;
 //       --paranoid SAT-proves every committed move on its window, through
-//       one persistent incremental proof session by default
-//       (--no-sat-session falls back to a throwaway solver per move).
-//       --no-incremental re-extracts the whole supergate partition after
-//       every commit (the pre-incremental behavior; same netlist);
-//       --extract-diff cross-checks the incremental partition against a
-//       fresh full extraction after every commit (slow; self-check).
-//       --no-delta-sync re-clones probe replicas every epoch instead of
-//       shipping O(dirty) deltas; --no-prune-cache re-enumerates pruned
-//       swap lists every phase; --no-timing-damp propagates every probe's
-//       full fanout cone instead of stopping at the slack-margin cutoff.
-//       All are A/B levers: same netlist. --timing-damp-diff replays every damped
-//       probe undamped and aborts if any PO arrival moves (self-check).
+//       one persistent incremental proof session.
+//       --self-check runs every fast path beside its reference and aborts
+//       on any disagreement: full re-extraction after every incremental
+//       partition update, re-enumeration of every cached swap list, an
+//       undamped replay of every damped probe and (with --paranoid) a
+//       per-move window solver beside the proof session. Slow; same
+//       netlist. Numeric flags must parse whole and lie in range.
 //       --trace writes a Chrome trace-event JSON of the run (one track per
 //       probe worker; load in Perfetto or chrome://tracing), --metrics-json
 //       a machine-readable counter/gauge/histogram snapshot, --provenance
@@ -58,19 +51,15 @@
 //       (used by CI's trace-smoke job); prints span categories and tracks.
 //
 //   rapids fuzz [--seed N] [--iters N] [--threads N] [--max-gates N]
-//          [--max-inputs N] [--no-sat] [--paranoid-diff] [--extract-diff]
-//          [--timing-damp-diff] [--no-shrink] [--out-dir DIR]
+//          [--max-inputs N] [--no-sat] [--paranoid-diff] [--no-shrink]
+//          [--out-dir DIR]
 //       Differential fuzzing: random circuits through the full flow at
-//       --threads 1 vs N and across optimizer modes, cross-checked by
-//       random vectors + SAT. --paranoid-diff additionally cross-checks
-//       the incremental proof session against the per-move solver,
-//       move-for-move; --extract-diff cross-checks incremental partition
-//       maintenance against full re-extraction after every committed move
-//       (partition canonical equality + netlist parity);
-//       --timing-damp-diff cross-checks slack-margin damped propagation
-//       against full-cone propagation (per-probe PO-arrival equality plus
-//       whole-flow netlist parity). Failures shrink to minimal
-//       reproducers.
+//       --threads 1 vs N and across optimizer modes, every flow
+//       self-checked (as flow --self-check), cross-checked by random
+//       vectors + SAT. --paranoid-diff additionally runs a self-checked
+//       paranoid flow, which proves every commit with the proof session
+//       and the per-move solver side by side, and requires the plain
+//       flow's netlist. Failures shrink to minimal reproducers.
 //
 //   rapids symmetry <circuit|file.blif|file.bench>
 //       Supergate / symmetry / redundancy report for a mapped circuit.
@@ -80,8 +69,8 @@
 //
 //   rapids list
 //       Show the built-in benchmark suite.
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -89,10 +78,7 @@
 
 #include "flow/flow.hpp"
 #include "fuzz/fuzz.hpp"
-#include "gen/large.hpp"
 #include "gen/suite.hpp"
-#include "io/bench_reader.hpp"
-#include "io/blif_reader.hpp"
 #include "io/blif_writer.hpp"
 #include "io/placement_io.hpp"
 #include "library/cell_library.hpp"
@@ -106,29 +92,14 @@
 #include "trace/provenance.hpp"
 #include "trace/trace.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
 using namespace rapids;
 
-Network load_circuit(const std::string& arg) {
-  auto ends_with = [&arg](const char* suffix) {
-    const std::size_t n = std::strlen(suffix);
-    return arg.size() >= n && arg.compare(arg.size() - n, n, suffix) == 0;
-  };
-  if (ends_with(".blif")) return read_blif_file(arg);
-  if (ends_with(".bench")) return read_bench_file(arg);
-  if (arg.rfind("gen:", 0) == 0) {
-    // gen:<gates>[:seed] — synthetic large-circuit profile.
-    LargeCircuitOptions lopt;
-    const std::string spec = arg.substr(4);
-    const std::size_t colon = spec.find(':');
-    lopt.target_gates = static_cast<std::size_t>(std::stoull(spec.substr(0, colon)));
-    if (colon != std::string::npos) lopt.seed = std::stoull(spec.substr(colon + 1));
-    return make_large_circuit(lopt);
-  }
-  return make_benchmark(arg);
-}
+/// Upper bound of the fuzzer's circuit-size knobs.
+constexpr int kMaxFuzzSize = 1'000'000;
 
 int cmd_list() {
   std::cout << "built-in benchmark suite (regenerated Table 1 circuits):\n";
@@ -185,14 +156,13 @@ int cmd_flow(const std::vector<std::string>& args) {
         throw InputError("unknown mode: " + m);
       }
     } else if (a == "--seed") {
-      options.placer.seed = std::stoull(next());
+      options.placer.seed = parse_number<std::uint64_t>(next(), a);
     } else if (a == "--effort") {
-      options.placer.effort = std::stod(next());
+      options.placer.effort = parse_number(next(), a, 0.0, kMaxEffort);
     } else if (a == "--iters") {
-      options.opt.max_iterations = std::stoi(next());
+      options.opt.max_iterations = parse_number(next(), a, 1, kMaxIterations);
     } else if (a == "--threads") {
-      options.opt.threads = std::stoi(next());
-      if (options.opt.threads < 1) throw InputError("--threads must be >= 1");
+      options.opt.threads = parse_number(next(), a, 1, kMaxThreads);
     } else if (a == "--buffers") {
       buffers = true;
     } else if (a == "--out") {
@@ -205,22 +175,8 @@ int cmd_flow(const std::vector<std::string>& args) {
       options.verify_sat = true;
     } else if (a == "--paranoid") {
       options.opt.paranoid = true;
-    } else if (a == "--sat-session") {
-      options.opt.sat_session = true;  // the default; kept as an explicit flag
-    } else if (a == "--no-sat-session") {
-      options.opt.sat_session = false;
-    } else if (a == "--no-incremental") {
-      options.opt.incremental_extraction = false;
-    } else if (a == "--extract-diff") {
-      options.opt.extract_diff = true;
-    } else if (a == "--no-delta-sync") {
-      options.opt.delta_replica_sync = false;
-    } else if (a == "--no-prune-cache") {
-      options.opt.prune_cache = false;
-    } else if (a == "--no-timing-damp") {
-      options.opt.timing_damp = false;
-    } else if (a == "--timing-damp-diff") {
-      options.opt.timing_damp_diff = true;
+    } else if (a == "--self-check") {
+      options.opt.self_check = true;
     } else if (a == "--trace") {
       out_trace = next();
     } else if (a == "--metrics-json") {
@@ -308,17 +264,12 @@ int cmd_flow(const std::vector<std::string>& args) {
   }
   if (options.opt.paranoid) {
     std::cout << "paranoid: " << r.moves_proved
-              << " committed moves SAT-proved on their windows ("
-              << (options.opt.sat_session ? "incremental session" : "per-move solver")
-              << ": " << r.proof_gates_encoded << " gates encoded, "
-              << r.proof_conflicts << " conflicts";
-    if (options.opt.sat_session) {
-      std::cout << ", " << r.proof_cache_hits << " cone cache hits, "
-                << r.solver_learned_kept << " learned clauses retained / "
-                << r.solver_learned_deleted << " evicted over "
-                << r.solver_reduce_dbs << " reduce_db rounds";
-    }
-    std::cout << ")\n";
+              << " committed moves SAT-proved on their windows (incremental session: "
+              << r.proof_gates_encoded << " gates encoded, " << r.proof_conflicts
+              << " conflicts, " << r.proof_cache_hits << " cone cache hits, "
+              << r.solver_learned_kept << " learned clauses retained / "
+              << r.solver_learned_deleted << " evicted over " << r.solver_reduce_dbs
+              << " reduce_db rounds)\n";
     if (r.proof_conflict_hist.count() > 0) {
       std::cout << "proof-conflicts: per-move " << r.proof_conflict_hist.to_string()
                 << "\n";
@@ -393,8 +344,7 @@ int cmd_table1(const std::vector<std::string>& args) {
       full = true;
     } else if (a == "--threads") {
       if (i + 1 >= args.size()) throw InputError("missing value after --threads");
-      threads = std::stoi(args[++i]);
-      if (threads < 1) throw InputError("--threads must be >= 1");
+      threads = parse_number(args[++i], a, 1, kMaxThreads);
     } else {
       names.push_back(a);
     }
@@ -494,10 +444,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     if (a == "--jobs") {
       jobs_file = next();
     } else if (a == "--max-concurrent") {
-      options.max_concurrent = std::stoi(next());
-      if (options.max_concurrent < 1) {
-        throw InputError("--max-concurrent must be >= 1");
-      }
+      options.max_concurrent = parse_number(next(), a, 1, kMaxThreads);
     } else {
       throw InputError("unknown serve flag: " + a);
     }
@@ -517,24 +464,19 @@ int cmd_fuzz(const std::vector<std::string>& args) {
       return args[++i];
     };
     if (a == "--seed") {
-      options.seed = std::stoull(next());
+      options.seed = parse_number<std::uint64_t>(next(), a);
     } else if (a == "--iters") {
-      options.iterations = std::stoi(next());
+      options.iterations = parse_number(next(), a, 1, std::numeric_limits<int>::max());
     } else if (a == "--threads") {
-      options.threads = std::stoi(next());
-      if (options.threads < 1) throw InputError("--threads must be >= 1");
+      options.threads = parse_number(next(), a, 1, kMaxThreads);
     } else if (a == "--max-gates") {
-      options.max_gates = std::stoi(next());
+      options.max_gates = parse_number(next(), a, 1, kMaxFuzzSize);
     } else if (a == "--max-inputs") {
-      options.max_inputs = std::stoi(next());
+      options.max_inputs = parse_number(next(), a, 1, kMaxFuzzSize);
     } else if (a == "--no-sat") {
       options.sat_crosscheck = false;
     } else if (a == "--paranoid-diff") {
       options.paranoid_diff = true;
-    } else if (a == "--extract-diff") {
-      options.extract_diff = true;
-    } else if (a == "--timing-damp-diff") {
-      options.timing_damp_diff = true;
     } else if (a == "--no-shrink") {
       options.shrink = false;
     } else if (a == "--out-dir") {
