@@ -12,9 +12,10 @@ namespace rapids {
 
 namespace {
 /// Free-stack floor maintained at construction and after every commit.
-/// A single move inserts at most two inverters (swap) or one per moved
-/// leaf pin (cross-sg); 64 covers any realistic supergate. probe_with
-/// asserts the id space never grows mid-probe, so an overflow is loud.
+/// A swap inserts at most two inverters and a resize none, so 64 is ample;
+/// the floor also decides which ids commits mint, so changing it renames
+/// inserted gates in the output. probe_with asserts the id space never
+/// grows mid-probe, so an overflow is loud.
 constexpr std::size_t kIdReserve = 64;
 }  // namespace
 
@@ -108,21 +109,6 @@ const GisgPartition& RewireEngine::partition() {
   return partition_;
 }
 
-bool RewireEngine::cross_sg_fresh(const CrossSgCandidate& cand) {
-  const GisgPartition& part = partition();
-  return part.slot_fresh(cand.enclosing_sg, cand.gen_enclosing) &&
-         part.slot_fresh(cand.sg_a, cand.gen_a) &&
-         part.slot_fresh(cand.sg_b, cand.gen_b);
-}
-
-PartitionStats RewireEngine::take_partition_stats() {
-  // Counter-wise delta since the last harvest (all fields are monotone).
-  PartitionStats window = pstats_;
-  window -= pstats_harvested_;
-  pstats_harvested_ = pstats_;
-  return window;
-}
-
 void RewireEngine::mark_commit_dirty(const EngineMove& move) {
   // Nothing to record while the partition awaits a full rebuild anyway.
   if (!partition_valid_) return;
@@ -151,24 +137,13 @@ void RewireEngine::mark_commit_dirty(const EngineMove& move) {
       // partition untouched (the first commit kind with zero re-extraction
       // cost — GS-heavy flows reuse every supergate across rounds).
       break;
-    case EngineMove::Kind::CrossSg:
-      for (const CrossSgEdit::PinRestore& pr : scratch_.cross_edit.moved_pins) {
-        touch(pr.pin.gate);
-        touch(pr.old_driver);
-        touch(net_.driver_of(pr.pin));
-      }
-      for (const CrossSgEdit::Retype& r : scratch_.cross_edit.retyped) touch(r.gate);
-      for (const GateId g : scratch_.cross_edit.added_inverters) touch(g);
-      for (const GateId d : scratch_.cross_edit.dirty_nets) touch(d);
-      break;
   }
 }
 
-void RewireEngine::record_sync_journal(const EngineMove& move,
-                                       std::size_t dirty_from) {
-  // The journal can only replay commits whose partition dirt was recorded;
-  // while the partition awaits a full rebuild replicas must full-sync until
-  // the next clean commit.
+void RewireEngine::record_sync_journal(const EngineMove& move) {
+  // A partition awaiting a full rebuild marks an out-of-engine mutation
+  // (invalidate_partition) the journal cannot replay; replicas must
+  // full-sync until the next commit on a rebuilt partition.
   if (!partition_valid_) {
     sync_journal_valid_ = false;
     return;
@@ -179,7 +154,6 @@ void RewireEngine::record_sync_journal(const EngineMove& move,
     sync_gates_.clear();
     sync_arr_.clear();
     sync_nets_.clear();
-    sync_dirty_.clear();
     sync_marks_.clear();
   }
   auto row = [this](GateId g) {
@@ -197,31 +171,17 @@ void RewireEngine::record_sync_journal(const EngineMove& move,
     case EngineMove::Kind::Resize:
       row(move.gate);  // cell binding changed
       break;
-    case EngineMove::Kind::CrossSg:
-      for (const CrossSgEdit::PinRestore& pr : scratch_.cross_edit.moved_pins) {
-        row(pr.pin.gate);
-        row(pr.old_driver);
-        row(net_.driver_of(pr.pin));
-      }
-      for (const CrossSgEdit::Retype& r : scratch_.cross_edit.retyped) row(r.gate);
-      for (const GateId g : scratch_.cross_edit.added_inverters) row(g);
-      for (const GateId d : scratch_.cross_edit.dirty_nets) row(d);
-      break;
   }
   sta_.append_txn_changed_ids(sync_arr_, sync_nets_);
-  sync_dirty_.insert(sync_dirty_.end(), pending_dirty_.begin() + dirty_from,
-                     pending_dirty_.end());
   sync_marks_.push_back({epoch_ + 1, static_cast<std::uint32_t>(sync_gates_.size()),
                          static_cast<std::uint32_t>(sync_arr_.size()),
-                         static_cast<std::uint32_t>(sync_nets_.size()),
-                         static_cast<std::uint32_t>(sync_dirty_.size())});
+                         static_cast<std::uint32_t>(sync_nets_.size())});
 }
 
 void RewireEngine::collect_sync_delta(std::uint64_t from_epoch,
                                       std::vector<GateId>& gates,
                                       std::vector<GateId>& arrivals,
-                                      std::vector<GateId>& nets,
-                                      std::vector<GateId>& dirty) const {
+                                      std::vector<GateId>& nets) const {
   RAPIDS_ASSERT_MSG(sync_delta_available(from_epoch),
                     "collect_sync_delta outside the journal's window");
   // One mark per commit since the journal (re)started: the suffix past
@@ -232,7 +192,6 @@ void RewireEngine::collect_sync_delta(std::uint64_t from_epoch,
   gates.insert(gates.end(), sync_gates_.begin() + start.gates_end, sync_gates_.end());
   arrivals.insert(arrivals.end(), sync_arr_.begin() + start.arr_end, sync_arr_.end());
   nets.insert(nets.end(), sync_nets_.begin() + start.nets_end, sync_nets_.end());
-  dirty.insert(dirty.end(), sync_dirty_.begin() + start.dirty_end, sync_dirty_.end());
 }
 
 void RewireEngine::invalidate_dirty(ProbeScratch& scratch,
@@ -267,26 +226,6 @@ void RewireEngine::apply_and_invalidate(ProbeScratch& scratch,
       sta_.touch_gate(move.gate);
       break;
     }
-    case EngineMove::Kind::CrossSg: {
-      const GisgPartition& part = partition();
-      // CrossSg candidates hold supergate SLOTS into the partition they
-      // were enumerated from, stamped with those slots' generations; they
-      // are probe-safe exactly while all three slots still carry the same
-      // stamps (callers gate on cross_sg_fresh(), which commits elsewhere
-      // in the network no longer violate).
-      RAPIDS_ASSERT_MSG(
-          part.slot_fresh(move.cross_cand.enclosing_sg, move.cross_cand.gen_enclosing) &&
-              part.slot_fresh(move.cross_cand.sg_a, move.cross_cand.gen_a) &&
-              part.slot_fresh(move.cross_cand.sg_b, move.cross_cand.gen_b),
-          "cross-sg candidate references a stale partition slot");
-      apply_cross_sg_swap_into(net_, placement_, lib_, part, move.cross_cand,
-                               scratch.cross_edit);
-      for (const GateId d : scratch.cross_edit.dirty_nets) sta_.invalidate_net(d);
-      for (const CrossSgEdit::Retype& r : scratch.cross_edit.retyped) {
-        sta_.touch_gate(r.gate);
-      }
-      break;
-    }
   }
 }
 
@@ -297,9 +236,6 @@ void RewireEngine::undo_network_edit(ProbeScratch& scratch, const EngineMove& mo
       break;
     case EngineMove::Kind::Resize:
       net_.set_cell(move.gate, scratch.saved_cell);
-      break;
-    case EngineMove::Kind::CrossSg:
-      undo_cross_sg_swap(net_, placement_, scratch.cross_edit);
       break;
   }
 }
@@ -346,26 +282,13 @@ void RewireEngine::count_commit(const EngineMove& move) {
     case EngineMove::Kind::Resize:
       ++stats_.resizes_committed;
       break;
-    case EngineMove::Kind::CrossSg:
-      ++stats_.cross_sg_committed;
-      stats_.inverters_added += scratch_.cross_edit.inverters_added;
-      // Committed gates now belong to the network; detach the record so the
-      // next apply_cross_sg_swap_into does not trip the "still applied" guard.
-      scratch_.cross_edit.moved_pins.clear();
-      scratch_.cross_edit.added_inverters.clear();
-      scratch_.cross_edit.retyped.clear();
-      scratch_.cross_edit.applied = false;
-      break;
   }
 }
 
 void RewireEngine::set_paranoid(bool on, const ParanoidOptions& options) {
   paranoid_options_ = options;
   paranoid_on_ = on;
-  // Prover construction is LAZY (ensure_prover, on the first proof):
-  // replica engines inherit the paranoid configuration on every sync but
-  // never commit, so an eager solver+encoder per worker per epoch would be
-  // pure allocation churn on the parallel hot path.
+  // Prover construction is LAZY (ensure_prover, on the first proof).
   if (!on) {
     session_.reset();
     reference_prover_.reset();
@@ -379,7 +302,6 @@ void RewireEngine::ensure_prover() {
     sopt.conflict_limit = paranoid_options_.window_conflict_limit;
     session_ = std::make_unique<sat::ProofSession>(sopt);
     session_->set_tracer(ctx_ != nullptr ? &ctx_->tracer() : nullptr);
-    session_harvested_ = sat::ProofSessionStats{};
   }
   if (self_check_ && !reference_prover_) {
     reference_prover_ = std::make_unique<sat::WindowChecker>(
@@ -391,83 +313,24 @@ std::uint64_t RewireEngine::paranoid_moves_checked() const {
   return session_ ? session_->stats().moves_checked : 0;
 }
 
-const sat::ProofSessionStats& RewireEngine::merged_session_stats() const {
-  merged_session_scratch_ = session_ ? session_->stats() : sat::ProofSessionStats{};
-  merged_session_scratch_ += absorbed_session_stats_;
-  return merged_session_scratch_;
-}
-
-sat::ProofSessionStats RewireEngine::take_session_stats() {
-  sat::ProofSessionStats window;
-  if (session_) {
-    // Counter-wise delta since the last harvest (all fields are monotone).
-    window = session_->stats();
-    window -= session_harvested_;
-    session_harvested_ = session_->stats();
-  }
-  return window;
-}
-
 void RewireEngine::begin_paranoid_proof(const EngineMove& move) {
-  // Observation root: the supergate root that dominates everything the
-  // move rewires (swap: its own supergate; cross-sg: the enclosing one).
-  const GisgPartition& part = partition();
-  GateId root = kNullGate;
-  switch (move.kind) {
-    case EngineMove::Kind::Swap: {
-      // Swap candidates survive across epochs (they reference stable gate
-      // ids), but their sg_index refers to the partition they were
-      // extracted from — resolve the pin's supergate in the CURRENT
-      // partition instead.
-      const SuperGate* sg = part.sg_containing(move.swap_cand.pin_a.gate);
-      RAPIDS_ASSERT_MSG(sg != nullptr, "swap pin outside any supergate");
-      root = sg->root;
-      break;
-    }
-    case EngineMove::Kind::CrossSg:
-      root = part.sgs[static_cast<std::size_t>(move.cross_cand.enclosing_sg)].root;
-      break;
-    case EngineMove::Kind::Resize:
-      RAPIDS_ASSERT_MSG(false, "resize moves are exempt from proofs");
-  }
+  RAPIDS_ASSERT_MSG(move.kind == EngineMove::Kind::Swap,
+                    "resize moves are exempt from proofs");
+  // Observation root: the root of the supergate the swap rewires. Swap
+  // candidates survive across epochs (they reference stable gate ids), but
+  // their sg_index refers to the partition they were extracted from —
+  // resolve the pin's supergate in the CURRENT partition instead.
+  const SuperGate* sg = partition().sg_containing(move.swap_cand.pin_a.gate);
+  RAPIDS_ASSERT_MSG(sg != nullptr, "swap pin outside any supergate");
+  const GateId root = sg->root;
 
-  // Derive the exact rewired gate set with a throwaway apply/undo (the
-  // probe guarantee: state is restored bit-exactly), then encode the
-  // pre-move window.
-  paranoid_changed_.clear();
-  paranoid_created_.clear();
-  sta_.begin();
-  apply_and_invalidate(scratch_, move);
-  switch (move.kind) {
-    case EngineMove::Kind::Swap:
-      paranoid_changed_.push_back(move.swap_cand.pin_a.gate);
-      paranoid_changed_.push_back(move.swap_cand.pin_b.gate);
-      paranoid_created_ = scratch_.swap_edit.added_inverters;
-      break;
-    case EngineMove::Kind::CrossSg:
-      for (const CrossSgEdit::PinRestore& pr : scratch_.cross_edit.moved_pins) {
-        paranoid_changed_.push_back(pr.pin.gate);
-      }
-      for (const CrossSgEdit::Retype& r : scratch_.cross_edit.retyped) {
-        paranoid_changed_.push_back(r.gate);
-      }
-      paranoid_created_ = scratch_.cross_edit.added_inverters;
-      break;
-    case EngineMove::Kind::Resize:
-      break;
-  }
-  undo_network_edit(scratch_, move);
-  sta_.rollback();
-  // Created gates do not exist pre-move; the changed set must not name them.
-  for (const GateId c : paranoid_created_) {
-    paranoid_changed_.erase(
-        std::remove(paranoid_changed_.begin(), paranoid_changed_.end(), c),
-        paranoid_changed_.end());
-  }
+  // A swap rewires exactly its two pins' gates; the pre-move window is
+  // encoded over them.
+  const GateId changed[] = {move.swap_cand.pin_a.gate, move.swap_cand.pin_b.gate};
   ensure_prover();
   const std::span<const GateId> roots{&root, 1};
-  session_->begin(net_, roots, paranoid_changed_);
-  if (reference_prover_) reference_prover_->begin(net_, roots, paranoid_changed_);
+  session_->begin(net_, roots, changed);
+  if (reference_prover_) reference_prover_->begin(net_, roots, changed);
 }
 
 EngineObjective RewireEngine::commit(const EngineMove& move) {
@@ -484,19 +347,15 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
     const auto move_conflicts = [&](std::uint64_t extra) {
       return session_->stats().conflicts - conflicts_before + extra;
     };
-    // The move re-inserts inverters; re-read the created set from the real
-    // apply's edit record (ids can differ from the throwaway apply only in
-    // recycling order, but take no chances).
-    paranoid_created_ =
-        move.kind == EngineMove::Kind::Swap ? scratch_.swap_edit.added_inverters
-                                            : scratch_.cross_edit.added_inverters;
+    // Gates the apply created do not exist in the pre-move window.
+    const std::vector<GateId>& created = scratch_.swap_edit.added_inverters;
     std::string diag;
-    const bool window_ok = session_->check(net_, paranoid_created_, &diag);
+    const bool window_ok = session_->check(net_, created, &diag);
     // Reference: the session window carries at least the per-move window's
     // structure, so it must prove every move the per-move solver proves.
     std::string ref_diag;
     if (reference_prover_ &&
-        reference_prover_->check(net_, paranoid_created_, &ref_diag) && !window_ok) {
+        reference_prover_->check(net_, created, &ref_diag) && !window_ok) {
       undo_network_edit(scratch_, move);
       sta_.rollback();
       session_->abandon();
@@ -564,9 +423,8 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
   // and its replica-sync journal entry — BEFORE sta_.commit() clears the
   // STA transaction's changed-id sets and count_commit detaches the edit
   // records both read.
-  const std::size_t dirty_from = pending_dirty_.size();
   mark_commit_dirty(move);
-  record_sync_journal(move, dirty_from);
+  record_sync_journal(move);
   sta_.commit();
   count_commit(move);
   // Committed inserts consumed reserve ids; top it back up HERE (commit
@@ -602,31 +460,6 @@ void RewireEngine::commit_and_revert(const EngineMove& move) {
   sta_.propagate();
   sta_.commit();
   sample_sta_counters();
-}
-
-int RewireEngine::commit_best(std::vector<RankedMove>& ranked, double min_gain) {
-  std::sort(ranked.begin(), ranked.end(),
-            [](const RankedMove& a, const RankedMove& b) { return a.gain > b.gain; });
-  int committed = 0;
-  for (const RankedMove& rm : ranked) {
-    // CrossSg moves reference partition slots; earlier commits in this
-    // batch may have re-extracted one of their supergates, which stales
-    // them (not even probe-safe) — the per-slot generation stamps decide,
-    // so cross moves over untouched supergates survive unrelated commits.
-    if (rm.move.kind == EngineMove::Kind::CrossSg &&
-        !cross_sg_fresh(rm.move.cross_cand)) {
-      continue;
-    }
-    // Re-validate against the current state: earlier commits may have
-    // absorbed or invalidated this gain.
-    const double before = sta_.critical_delay();
-    const EngineObjective obj = probe(rm.move);
-    if (before - obj.critical > min_gain) {
-      commit(rm.move);
-      ++committed;
-    }
-  }
-  return committed;
 }
 
 }  // namespace rapids

@@ -3,14 +3,19 @@
 //
 // The paper's pitch is that symmetry-based rewiring is FAST: thousands of
 // candidate moves are evaluated per circuit by applying a move, incrementally
-// re-timing, reading the objective and rolling back exactly. The seed
-// repository re-implemented that choreography in every caller (optimizer
-// phases, sizing, benches); this engine owns it once, over all three move
-// kinds:
+// re-timing, reading the objective and rolling back exactly. This engine
+// owns that choreography once, over the two move kinds the optimizer
+// generates:
 //
 //   Swap    — pin swap inside one supergate (rewire/swap)
 //   Resize  — drive-strength reassignment    (sizing)
-//   CrossSg — cross-supergate group exchange (rewire/cross_sg, Theorem 2)
+//
+// Cross-supergate group exchange (Theorem 2) is not an engine move: the
+// paper's optimizer excludes it, and rewire/ applies it as a standalone
+// transform.
+//
+// Replica engines (parallel/probe_context) only probe. Every commit, every
+// paranoid proof and every partition update runs on the one live engine.
 //
 // The engine also owns the GisgPartition lifecycle. The partition is a
 // LONG-LIVED index maintained incrementally: every commit records its
@@ -36,7 +41,6 @@
 #include "library/cell_library.hpp"
 #include "netlist/network.hpp"
 #include "place/placement.hpp"
-#include "rewire/cross_sg.hpp"
 #include "rewire/swap.hpp"
 #include "sat/proof_session.hpp"
 #include "sat/window.hpp"
@@ -57,14 +61,13 @@ struct EngineObjective {
   double sum_po = 0.0;
 };
 
-/// One candidate transformation, uniformly over all move kinds.
+/// One candidate transformation: a swap or a resize.
 struct EngineMove {
-  enum class Kind : std::uint8_t { Swap, Resize, CrossSg };
+  enum class Kind : std::uint8_t { Swap, Resize };
   Kind kind = Kind::Swap;
   SwapCandidate swap_cand;     // Kind::Swap
   GateId gate = kNullGate;     // Kind::Resize
   int new_cell = -1;           // Kind::Resize
-  CrossSgCandidate cross_cand; // Kind::CrossSg
 
   static EngineMove swap(const SwapCandidate& c) {
     EngineMove m;
@@ -77,12 +80,6 @@ struct EngineMove {
     m.kind = Kind::Resize;
     m.gate = g;
     m.new_cell = cell;
-    return m;
-  }
-  static EngineMove cross_sg(const CrossSgCandidate& c) {
-    EngineMove m;
-    m.kind = Kind::CrossSg;
-    m.cross_cand = c;
     return m;
   }
 };
@@ -109,7 +106,6 @@ enum class ProofVerdict : std::uint8_t {
 struct EngineStats {
   int swaps_committed = 0;
   int resizes_committed = 0;
-  int cross_sg_committed = 0;
   int inverters_added = 0;
   std::uint64_t probes = 0;
   // Propagation-shape counters sampled from the Sta: worklist pops across
@@ -123,7 +119,6 @@ struct EngineStats {
   EngineStats& operator+=(const EngineStats& o) {
     swaps_committed += o.swaps_committed;
     resizes_committed += o.resizes_committed;
-    cross_sg_committed += o.cross_sg_committed;
     inverters_added += o.inverters_added;
     probes += o.probes;
     gates_propagated += o.gates_propagated;
@@ -142,16 +137,8 @@ struct EngineStats {
 /// probe loop through one scratch allocates nothing.
 struct ProbeScratch {
   SwapEdit swap_edit;
-  CrossSgEdit cross_edit;
   std::vector<GateId> dirty_scratch;
   int saved_cell = -1;
-};
-
-/// A gain-ranked move for batch commit (gain measured against the batch's
-/// common baseline).
-struct RankedMove {
-  EngineMove move;
-  double gain = 0.0;
 };
 
 class RewireEngine {
@@ -174,7 +161,6 @@ class RewireEngine {
   /// identical behavior to before sessions existed. The scheduler wires
   /// its session into the live engine and every replica engine.
   void set_session(SessionContext* ctx);
-  SessionContext* session_context() const { return ctx_; }
 
   // --- partition lifecycle -------------------------------------------------
 
@@ -200,22 +186,14 @@ class RewireEngine {
     if (session_) session_->invalidate_all();
   }
 
-  /// Adopt a slot-exact copy of another engine's partition (replica sync):
-  /// moves carrying slot indices and generation stamps probe identically on
-  /// the replica. `source` must be materialized (its pending dirt applied).
-  void adopt_partition(const GisgPartition& source) {
-    partition_ = source;
-    partition_valid_ = true;
-    pending_dirty_.clear();
-  }
-
   /// Self-check mode: every fast path runs beside its reference and any
   /// disagreement throws InternalError ("self-check: ..."). After every
   /// incremental partition update a fresh full extraction must be
   /// canonically equal; every damped probe is replayed undamped (Sta
   /// damp-diff); in paranoid mode a per-move sat::WindowChecker proves each
   /// commit beside the proof session, which must prove every move the
-  /// reference proves. Replicas inherit the switch on full sync. Costly —
+  /// reference proves. Replicas inherit the switch on full sync (their
+  /// probes replay undamped). Costly —
   /// tests, fuzzing and `flow --self-check` only.
   void set_self_check(bool on) {
     self_check_ = on;
@@ -224,25 +202,11 @@ class RewireEngine {
   }
   bool self_check() const { return self_check_; }
 
-  /// True when a CrossSg candidate's three supergate slots still carry the
-  /// generation stamps the candidate was enumerated under — the per-sg
-  /// staleness test (commits elsewhere in the network no longer stale
-  /// cross-supergate moves). Applies pending dirt first.
-  bool cross_sg_fresh(const CrossSgCandidate& cand);
-
-  /// Partition maintenance counters over the engine's lifetime (plus
-  /// everything absorbed from replicas).
+  /// Partition maintenance counters over the engine's lifetime.
   const PartitionStats& partition_stats() const { return pstats_; }
-  void absorb_partition_stats(const PartitionStats& s) { pstats_ += s; }
-  /// Counters accumulated since the last harvest; resets the window
-  /// (replica-side pair of absorb_partition_stats).
-  PartitionStats take_partition_stats();
 
-  /// Bumped by every commit. Swap/Resize moves remain probe/undo safe
-  /// across epochs (they reference gates, which have stable ids); CrossSg
-  /// moves reference partition slots and are probe-safe exactly while
-  /// cross_sg_fresh() holds — their slots' generations are finer-grained
-  /// than the epoch, so commits in unrelated regions do not stale them.
+  /// Bumped by every commit. Moves remain probe/undo safe across epochs:
+  /// they reference gates, which have stable ids.
   std::uint64_t epoch() const { return epoch_; }
 
   // --- replica delta sync ---------------------------------------------------
@@ -260,19 +224,11 @@ class RewireEngine {
   /// Append the ids every commit in (from_epoch, epoch()] changed:
   /// `gates` — structural rows (type/cell/fanins/fanouts) for
   /// Network::adopt_structural_delta; `arrivals`/`nets` — the STA slices for
-  /// Sta::adopt_delta; `dirty` — partition dirty gates (with their fanout
-  /// frontier) for the replica's own incremental maintenance. Lists may
-  /// repeat ids across commits; adoption is idempotent.
+  /// Sta::adopt_delta. Lists may repeat ids across commits; adoption is
+  /// idempotent.
   void collect_sync_delta(std::uint64_t from_epoch, std::vector<GateId>& gates,
-                          std::vector<GateId>& arrivals, std::vector<GateId>& nets,
-                          std::vector<GateId>& dirty) const;
-
-  /// Replica-side: splice a synced commit's dirty gates into this engine's
-  /// pending set so its partition tracks the source's incrementally —
-  /// identical inputs to reextract_region produce slot-exact partitions.
-  void append_pending_dirty(std::span<const GateId> gates) {
-    pending_dirty_.insert(pending_dirty_.end(), gates.begin(), gates.end());
-  }
+                          std::vector<GateId>& arrivals,
+                          std::vector<GateId>& nets) const;
 
   // --- transactional move evaluation ---------------------------------------
 
@@ -297,21 +253,18 @@ class RewireEngine {
   /// paranoid_inconclusive()).
   EngineObjective commit(const EngineMove& move);
 
-  /// Verify-every-commit mode: each committed Swap/CrossSg move is proved
+  /// Verify-every-commit mode: each committed Swap move is proved
   /// function-preserving at its supergate root before it is kept, by one
   /// persistent ProofSession for the engine's lifetime. Resize moves do not
-  /// change logic and are exempt. All commit paths — serial, parallel
-  /// arbitration, commit_best — run through this check.
+  /// change logic and are exempt. Every commit runs through this check.
   void set_paranoid(bool on) { set_paranoid(on, ParanoidOptions{}); }
   void set_paranoid(bool on, const ParanoidOptions& options);
   bool paranoid() const { return paranoid_on_; }
-  const ParanoidOptions& paranoid_options() const { return paranoid_options_; }
 
-  /// Session prover counters: this engine's own session plus everything
-  /// absorbed from per-worker replica sessions (null when paranoid mode is
-  /// off or no proof has run yet — the session builds lazily).
+  /// Proof-session counters (null when paranoid mode is off or no proof
+  /// has run yet — the session builds lazily).
   const sat::ProofSessionStats* session_stats() const {
-    return session_ ? &merged_session_stats() : nullptr;
+    return session_ ? &session_->stats() : nullptr;
   }
   /// The live session itself (solver-level stats for benches; null until
   /// the first paranoid proof).
@@ -334,34 +287,12 @@ class RewireEngine {
   /// Merge a replica engine's counters (probe workers evaluate on replicas;
   /// their probe counts belong to this engine's lifetime totals).
   void absorb_stats(const EngineStats& s) { stats_ += s; }
-  /// Merge a replica engine's proof-session counters (per-worker sessions;
-  /// the scheduler harvests them alongside EngineStats).
-  void absorb_session_stats(const sat::ProofSessionStats& s) {
-    absorbed_session_stats_ += s;
-  }
-  /// This engine's session counters accumulated since the last harvest;
-  /// resets the window (replica-side pair of absorb_session_stats).
-  sat::ProofSessionStats take_session_stats();
 
   /// Bench helper: commit `move`, then commit its exact inverse, leaving
   /// the circuit in its pre-call state (two committed transactions).
   void commit_and_revert(const EngineMove& move);
 
-  /// Gain-sorted greedy commit with re-validation: probes each ranked move
-  /// against the CURRENT state and commits it only if it still improves the
-  /// critical delay by more than `min_gain` (earlier commits may have
-  /// absorbed the gain). Returns the number committed.
-  ///
-  /// NOTE: the ranked moves must be derived from the current partition
-  /// state and at most one swap per supergate may appear (the
-  /// stale-candidate contract); the optimizer's per-group "best move"
-  /// selection guarantees both. CrossSg entries are dropped automatically
-  /// when an earlier commit in the batch re-extracted one of their
-  /// supergate slots (per-generation freshness).
-  int commit_best(std::vector<RankedMove>& ranked, double min_gain);
-
   const EngineStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = EngineStats{}; }
 
   // --- bounded-cone damped probing -----------------------------------------
 
@@ -387,13 +318,12 @@ class RewireEngine {
   /// into the pending dirty set consumed by the next partition() call.
   /// Must run before count_commit() detaches the edit records.
   void mark_commit_dirty(const EngineMove& move);
-  /// Append this commit's changed structural rows, STA transaction ids and
-  /// partition dirty range (pending_dirty_[dirty_from..]) to the replica
-  /// sync journal. Must run while the STA transaction is still open and
-  /// before count_commit() detaches the edit records.
-  void record_sync_journal(const EngineMove& move, std::size_t dirty_from);
-  /// Paranoid mode: derive the move's exact rewired-gate set (throwaway
-  /// apply/undo) and encode the pre-move window of its observation root.
+  /// Append this commit's changed structural rows and STA transaction ids
+  /// to the replica sync journal. Must run while the STA transaction is
+  /// still open and before count_commit() detaches the edit records.
+  void record_sync_journal(const EngineMove& move);
+  /// Paranoid mode: encode the pre-move window of the swap's observation
+  /// root over the two rewired gates.
   void begin_paranoid_proof(const EngineMove& move);
 
   Network& net_;
@@ -412,7 +342,6 @@ class RewireEngine {
   GisgRegionScratch gisg_scratch_;
   bool self_check_ = false;
   PartitionStats pstats_;
-  PartitionStats pstats_harvested_;
 
   EngineStats stats_;
   // Cursor over the Sta's monotonic propagation counters: the Sta outlives
@@ -426,24 +355,21 @@ class RewireEngine {
   void sample_sta_counters();
 
   // Replica-sync journal: flat append-only per-commit records (structural
-  // rows, STA arrival/net ids, partition dirty gates) plus one end-offset
-  // mark per epoch. Replicas replay the suffix past their last-synced
-  // epoch; any event the journal cannot model (external mutation, reverted
-  // bench commits) simply invalidates it and
-  // the next sync falls back to the full clone path.
+  // rows, STA arrival/net ids) plus one end-offset mark per epoch.
+  // Replicas replay the suffix past their last-synced epoch; any event the
+  // journal cannot model (external mutation, reverted bench commits) simply
+  // invalidates it and the next sync falls back to the full clone path.
   struct SyncMark {
     std::uint64_t epoch = 0;
     std::uint32_t gates_end = 0;
     std::uint32_t arr_end = 0;
     std::uint32_t nets_end = 0;
-    std::uint32_t dirty_end = 0;
   };
   bool sync_journal_valid_ = false;
   std::uint64_t sync_base_epoch_ = 0;
   std::vector<GateId> sync_gates_;
   std::vector<GateId> sync_arr_;
   std::vector<GateId> sync_nets_;
-  std::vector<GateId> sync_dirty_;
   std::vector<SyncMark> sync_marks_;
 
   // The engine's own probe/commit scratch (never shrinks; steady state
@@ -453,8 +379,8 @@ class RewireEngine {
   bool prev_recycling_ = false;
 
   /// Construct the proof session (and, under self-check, the per-move
-  /// reference prover) if missing (lazy: replica engines carry the
-  /// configuration but never prove).
+  /// reference prover) if missing (lazy: a run that commits no swap builds
+  /// no solver).
   void ensure_prover();
 
   /// Tracer the engine's spans record on: the wired session's, else the
@@ -466,23 +392,14 @@ class RewireEngine {
 
   // Paranoid-mode provers, created lazily by the first proof: the
   // persistent proof session, plus (self-check only) the throwaway-solver
-  // per-move reference it is checked against; and the reusable scratch for
-  // the changed/created gate sets of the move under proof.
+  // per-move reference it is checked against.
   std::unique_ptr<sat::ProofSession> session_;
   std::unique_ptr<sat::WindowChecker> reference_prover_;
   bool paranoid_on_ = false;
   ParanoidOptions paranoid_options_;
-  std::vector<GateId> paranoid_changed_;
-  std::vector<GateId> paranoid_created_;
   std::uint64_t paranoid_inconclusive_ = 0;
   std::vector<ProofVerdict> paranoid_verdicts_;
   Histogram proof_conflict_hist_;
-  // Per-worker session merge: counters absorbed from replicas plus the
-  // harvest cursor for this engine's own session (replica side).
-  sat::ProofSessionStats absorbed_session_stats_;
-  sat::ProofSessionStats session_harvested_;
-  const sat::ProofSessionStats& merged_session_stats() const;
-  mutable sat::ProofSessionStats merged_session_scratch_;
 };
 
 }  // namespace rapids

@@ -145,10 +145,6 @@ void run_mode_impl(ModeRun& run, Placement& placement, const Network* reference,
   // The Sta constructor above just ran a full analysis against this exact
   // network state; the optimizer can skip its own initial O(network) pass.
   oopt.sta_is_fresh = true;
-  // One seed reproduces the whole run: unless the caller chose an explicit
-  // optimizer seed, the per-worker RNG substreams derive from the same
-  // seed that placed the circuit.
-  if (oopt.seed == OptimizerOptions{}.seed) oopt.seed = options.placer.seed;
   {
     TraceSpan opt_span(flow_tracer(options), "flow", "optimize");
     run.result = optimize(run.optimized, placement, lib, sta, oopt);

@@ -35,8 +35,6 @@ namespace {
 SchedulerOptions scheduler_options(const OptimizerOptions& o) {
   SchedulerOptions s;
   s.threads = std::max(o.threads, 1);
-  s.cone_depth = 2;
-  s.seed = o.seed;
   s.session = o.session;
   return s;
 }
@@ -134,7 +132,7 @@ class Optimizer {
     result.seconds = timer.seconds();
 
     const EngineStats& stats = engine_.stats();
-    result.swaps_committed = stats.swaps_committed + stats.cross_sg_committed;
+    result.swaps_committed = stats.swaps_committed;
     result.resizes_committed = stats.resizes_committed;
     result.inverters_added = stats.inverters_added;
     result.probes = stats.probes;
@@ -185,7 +183,6 @@ class Optimizer {
     result.sched_accepted = sched.accepted;
     result.sched_conflicted = sched.conflicted;
     result.sched_revalidation_rejects = sched.revalidation_rejects;
-    result.sched_stale_cross_sg = sched.stale_cross_sg;
     result.gain_hist = sched.gain_hist;
     result.proof_conflict_hist = engine_.proof_conflict_hist();
     result.seconds_groups = seconds_groups_;

@@ -58,10 +58,10 @@ struct OptimizerOptions {
   /// Probe worker count for the parallel scheduler (>= 1). The final
   /// netlist is bit-identical for every value; only wall-clock changes.
   int threads = 1;
-  /// Base seed for per-worker RNG substreams (the flow plumbs its placer
-  /// seed through here so one seed reproduces the whole run).
+  /// Unread: the optimizer is deterministic and draws no random numbers.
+  /// Kept only because perfbench sets it (like sched_speculat* below).
   std::uint64_t seed = 0x5eed5ULL;
-  /// Verify-every-commit mode: every committed Swap/CrossSg move is
+  /// Verify-every-commit mode: every committed swap move is
   /// SAT-proved function-preserving on its invalidated cone before it is
   /// kept, by one incremental proof session for the whole run
   /// (sat/proof_session.hpp). A failed proof throws InternalError.
@@ -171,13 +171,13 @@ struct OptimizerResult {
   std::uint64_t pruned_groups_cached = 0;
   /// Scheduler round/arbitration counters (merged across phases):
   /// committed/accepted is the arbitration yield, conflicted +
-  /// revalidation_rejects + stale_cross_sg the wasted winners.
+  /// revalidation_rejects the wasted winners.
   std::uint64_t sched_rounds = 0;
   std::uint64_t sched_accepted = 0;
   std::uint64_t sched_conflicted = 0;
   std::uint64_t sched_revalidation_rejects = 0;
-  std::uint64_t sched_stale_cross_sg = 0;
   /// Always zero; kept only because perfbench reads them.
+  std::uint64_t sched_stale_cross_sg = 0;
   std::uint64_t sched_speculative_probes = 0;
   std::uint64_t sched_speculation_hits = 0;
   std::uint64_t sched_speculation_wasted = 0;

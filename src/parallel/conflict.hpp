@@ -5,9 +5,9 @@
 // the same gates, or their invalidated STA cones overlap. A move's
 // ConflictSignature approximates that read/write set as a sorted gate-id
 // set: the STA invalidation seeds the move would dirty (old/new drivers,
-// resized gates and their fanin drivers, DeMorgan-retyped gates) widened by
-// the downstream fanout cone to a small truncation depth — the region
-// incremental propagation touches first.
+// resized gates and their fanin drivers) widened by the downstream fanout
+// cone to a small truncation depth — the region incremental propagation
+// touches first.
 //
 // The scheduler shards candidate GROUPS (one supergate's swaps, one gate's
 // resizes) so that any two groups with overlapping signatures land in the
@@ -24,9 +24,11 @@
 
 #include "engine/rewire_engine.hpp"
 #include "netlist/network.hpp"
-#include "sym/gisg.hpp"
 
 namespace rapids {
+
+/// Fanout-cone truncation depth the scheduler's signatures use.
+constexpr int kConflictConeDepth = 2;
 
 /// Sorted, deduplicated set of gate ids a move (or group of moves) can
 /// touch: rewired-net drivers, retimed gates, and their truncated fanout
@@ -41,14 +43,13 @@ struct ConflictSignature {
   void merge(const ConflictSignature& other);
 };
 
-/// Signature of a single move. `part` is required for CrossSg moves (their
-/// candidates index into it) and ignored otherwise. `cone_depth` levels of
-/// fanout cone are added beyond the directly touched gates.
-ConflictSignature move_signature(const Network& net, const GisgPartition* part,
-                                 const EngineMove& move, int cone_depth);
+/// Signature of a single move. `cone_depth` levels of fanout cone are added
+/// beyond the directly touched gates.
+ConflictSignature move_signature(const Network& net, const EngineMove& move,
+                                 int cone_depth);
 
 /// Signature of a candidate group: union over its moves' signatures.
-ConflictSignature group_signature(const Network& net, const GisgPartition* part,
+ConflictSignature group_signature(const Network& net,
                                   const std::vector<EngineMove>& moves, int cone_depth);
 
 /// Conflict-aware shard assignment. Returns shard_of[g] in [0, num_shards)

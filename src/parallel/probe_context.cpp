@@ -8,8 +8,7 @@
 
 namespace rapids {
 
-ProbeContext::ProbeContext(const CellLibrary& lib, std::uint64_t base_seed, int worker)
-    : lib_(lib), rng_(Rng::substream(base_seed, static_cast<std::uint64_t>(worker))) {}
+ProbeContext::ProbeContext(const CellLibrary& lib) : lib_(lib) {}
 
 ProbeContext::~ProbeContext() = default;
 
@@ -18,29 +17,12 @@ void ProbeContext::set_session(SessionContext* ctx) {
   if (engine_) engine_->set_session(ctx);
 }
 
-void ProbeContext::adopt_partition_from(RewireEngine& source) {
-  // Slot-exact copy: replica cross-sg probes must resolve the same slot
-  // indices and generation stamps as the live engine (a fresh replica-side
-  // extraction would renumber incrementally maintained slots), and the
-  // copy spares the replica its own O(network) extraction. The scheduler
-  // materializes the live partition before the worker pool runs, so this
-  // read is race-free.
-  engine_->adopt_partition(source.partition());
-  partition_adopted_ = true;
-  partition_generation_ = source.partition().generation;
-}
-
 bool ProbeContext::in_sync_with(RewireEngine& source) const {
   return has_state_ && epoch_ == source.epoch() &&
          sta_version_ == source.sta().state_version();
 }
 
-bool ProbeContext::partition_current(RewireEngine& source) const {
-  return partition_adopted_ &&
-         partition_generation_ == source.partition().generation;
-}
-
-void ProbeContext::sync(RewireEngine& source, bool with_partition) {
+void ProbeContext::sync(RewireEngine& source) {
   const Timer timer;
   TraceSpan sync_span(ctx_ != nullptr ? ctx_->tracer() : current_tracer(),
                       "sync", "replica_sync");
@@ -57,9 +39,7 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
       delta_gates_.clear();
       delta_arr_.clear();
       delta_nets_.clear();
-      delta_dirty_.clear();
-      source.collect_sync_delta(epoch_, delta_gates_, delta_arr_, delta_nets_,
-                                delta_dirty_);
+      source.collect_sync_delta(epoch_, delta_gates_, delta_arr_, delta_nets_);
       // The journal concatenates per-commit slices, and commits inside one
       // round overlap heavily (critical-path arrivals are recomputed by
       // nearly every commit). Adoption copies the source's CURRENT state,
@@ -73,13 +53,14 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
       dedup(delta_nets_);
       std::size_t bytes = net_.adopt_structural_delta(source.net(), delta_gates_);
       // Placement rows of the touched gates (committed swaps place the
-      // inverters they insert); ids minted since the snapshot are unplaced
-      // tombstones on both sides.
-      pl_.resize(net_.id_bound());
+      // inverters they insert), over the source's row count: rows past a
+      // placement's end are unplaced, and only commits leave gates placed, so
+      // the untouched rows a resize adds or drops are unplaced on both sides.
+      pl_.resize(source.placement().id_bound());
       for (const GateId g : delta_gates_) {
         if (source.placement().is_placed(g)) {
           pl_.set(g, source.placement().at(g));
-        } else {
+        } else if (g < pl_.id_bound()) {
           pl_.unset(g);
         }
       }
@@ -89,21 +70,12 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
       // the O(dirty) gauge in bench/scale_flow.
       sync_stats_.delta_commits += source.epoch() - epoch_;
       epoch_ = source.epoch();
-      // The replica partition now lags the network; CrossSg rounds re-adopt
-      // the live partition below (slot-exact copy — replaying the dirt
-      // independently could batch re-extractions differently and drift the
-      // slot generation stamps the candidates are pinned to).
-      partition_adopted_ = false;
       // Count only epoch-advancing replays: a same-epoch repeat call does no
       // work and must not inflate the sync counters (metrics-json promises
       // delta_syncs == journal replays, delta_commits == epochs spanned).
       ++sync_stats_.delta_syncs;
     }
     sync_span.set_arg("delta", 1);
-    // Re-adopt on a stale GENERATION, not just a missing adoption: a live
-    // partition rebuild inside this epoch renumbers slots (see
-    // partition_current()).
-    if (with_partition && !partition_current(source)) adopt_partition_from(source);
     sync_stats_.seconds += timer.seconds();
     return;
   }
@@ -124,19 +96,13 @@ void ProbeContext::sync(RewireEngine& source, bool with_partition) {
   sta_->copy_state_from(source.sta());
   engine_ = std::make_unique<RewireEngine>(net_, pl_, lib_, *sta_);
   engine_->set_session(ctx_);
-  // Replicas inherit the paranoid configuration: each worker owns a
-  // PRIVATE prover (per-worker proof sessions — solvers are not
-  // thread-safe and must never be shared), so any replica-side commit
-  // path is held to the same proof discipline as the live engine. The
-  // scheduler harvests the per-worker proof counters after each round.
-  engine_->set_paranoid(source.paranoid(), source.paranoid_options());
-  // So does self-check (damping margins themselves are NOT synced — they
-  // are a per-Sta accelerator, refreshed replica-side at round
-  // granularity; damped and undamped probes return identical objectives
-  // by construction, which self-check's undamped replay asserts).
+  // Replicas inherit self-check, because damped-probe replay runs where the
+  // probe runs. Paranoid mode is not inherited: it proves commits, and a
+  // replica never commits. (Damping margins are NOT synced — they are a
+  // per-Sta accelerator, refreshed replica-side at round granularity;
+  // damped and undamped probes return identical objectives by
+  // construction, which self-check's undamped replay asserts.)
   engine_->set_self_check(source.self_check());
-  partition_adopted_ = false;
-  if (with_partition) adopt_partition_from(source);
 
   epoch_ = source.epoch();
   sta_version_ = source.sta().state_version();

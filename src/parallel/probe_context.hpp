@@ -4,12 +4,16 @@
 // Network clone (ids, tombstones and the recycled-id free stack preserved),
 // Placement copy, and an Sta that ADOPTS the live engine's timing state
 // byte-for-byte instead of recomputing it — plus its own RewireEngine,
-// ProbeScratch, RNG substream and statistics shard. Workers therefore probe
-// with zero shared mutable state: no locks on the hot path, no data races,
-// and — because a probe is a pure function of replica state and every
-// replica is synced to the same live state — bit-identical results no
-// matter which worker evaluates which candidate. That last property is what
-// lets `--threads N` reproduce `--threads 1` exactly.
+// ProbeScratch and statistics shard. Workers therefore probe with zero
+// shared mutable state: no locks on the hot path, no data races, and —
+// because a probe is a pure function of replica state and every replica is
+// synced to the same live state — bit-identical results no matter which
+// worker evaluates which candidate. That last property is what lets
+// `--threads N` reproduce `--threads 1` exactly.
+//
+// A replica only probes. It never commits, proves or extracts, so it holds
+// no partition and no proof session: swap and resize moves name gates, not
+// supergate slots, and probe identically without one.
 //
 // Lifecycle: sync() re-replicates after the live epoch advances (commits
 // invalidate replicas); probe results remain valid within one epoch.
@@ -19,7 +23,6 @@
 #include <memory>
 
 #include "engine/rewire_engine.hpp"
-#include "util/rng.hpp"
 
 namespace rapids {
 
@@ -48,20 +51,14 @@ struct ReplicaSyncStats {
 
 class ProbeContext {
  public:
-  /// `worker` indexes the RNG substream (see Rng::substream); `base_seed`
-  /// is the flow seed, so parallel runs are reproducible end to end.
-  ProbeContext(const CellLibrary& lib, std::uint64_t base_seed, int worker);
+  explicit ProbeContext(const CellLibrary& lib);
   ~ProbeContext();
   ProbeContext(const ProbeContext&) = delete;
   ProbeContext& operator=(const ProbeContext&) = delete;
 
   /// Re-replicate from the live engine's state. Must be called from a
   /// single thread per context (the scheduler syncs each worker's context
-  /// on that worker); `source` is read-only here. `with_partition` adopts a
-  /// slot-exact copy of the live partition — required before the replica
-  /// probes any CrossSg move (those resolve partition slots), pure waste
-  /// otherwise (the common swap/resize rounds never read it), so the
-  /// scheduler passes its per-round any-cross flag.
+  /// on that worker); `source` is read-only here.
   ///
   /// While the source journal covers the replica's epoch, only the
   /// committed rounds' dirty gates, STA slices and free-stack state are
@@ -69,7 +66,7 @@ class ProbeContext {
   /// the full clone path otherwise (always taken by a context's first
   /// sync, which makes a fresh context the byte-exact reference). Both
   /// paths leave the replica bit-identical for probe arithmetic.
-  void sync(RewireEngine& source, bool with_partition = true);
+  void sync(RewireEngine& source);
 
   /// Session this context's replica engine records into (null = ambient).
   /// The scheduler wires its session here; replicas rebuilt by later
@@ -101,51 +98,18 @@ class ProbeContext {
   /// path must use this, never bare synced_to().
   bool in_sync_with(RewireEngine& source) const;
 
-  /// Late partition adoption for a replica synced without one (a cross-sg
-  /// round following a plain round in the same epoch).
-  void adopt_partition_from(RewireEngine& source);
-  bool partition_adopted() const { return partition_adopted_; }
-
-  /// True when the adopted partition copy still matches the live one.
-  /// partition_adopted() alone is not enough: invalidate_partition() + a
-  /// rebuild renumbers slots and advances the partition's monotone
-  /// generation stamp WITHOUT advancing the commit epoch, so a replica that
-  /// adopted before the rebuild would resolve CrossSg slots against stale
-  /// numbering. The generation stamp is never reset, so equality is exact.
-  bool partition_current(RewireEngine& source) const;
-
   /// The replica engine (valid after the first sync). Probe through
   /// probe_with(scratch(), move) — commits on a replica are meaningless and
   /// must go through the live engine's arbiter instead.
   RewireEngine& engine() { return *engine_; }
   ProbeScratch& scratch() { return scratch_; }
-  /// This worker's RNG substream. The deterministic probe pipeline draws
-  /// nothing from it today; any future stochastic worker step must draw
-  /// from here (never from a shared Rng) to preserve the thread-count
-  /// independence contract.
-  Rng& rng() { return rng_; }
 
   /// Replica probe counters accumulated since the last harvest; resets the
   /// window. The scheduler folds these into the live engine's totals.
   EngineStats take_stats();
 
-  /// Replica proof-session counters since the last harvest (zero when the
-  /// replica is not in paranoid mode); merged into the live
-  /// engine's session stats by the scheduler.
-  sat::ProofSessionStats take_session_stats() {
-    return engine_ ? engine_->take_session_stats() : sat::ProofSessionStats{};
-  }
-
-  /// Replica partition-maintenance counters since the last harvest (zero in
-  /// steady state: replicas adopt the live partition instead of
-  /// extracting); merged into the live engine's totals by the scheduler.
-  PartitionStats take_partition_stats() {
-    return engine_ ? engine_->take_partition_stats() : PartitionStats{};
-  }
-
  private:
   const CellLibrary& lib_;
-  Rng rng_;
   SessionContext* ctx_ = nullptr;
 
   Network net_;
@@ -156,11 +120,6 @@ class ProbeContext {
 
   std::uint64_t epoch_ = 0;
   bool has_state_ = false;
-  bool partition_adopted_ = false;
-  /// Generation stamp of the live partition at the last adoption; compared
-  /// against the live stamp to detect mid-epoch rebuilds (see
-  /// partition_current()).
-  std::uint64_t partition_generation_ = 0;
   /// Source Sta state version captured at the last full sync; a mismatch
   /// (the live side ran run_full) forces the next sync down the full path.
   std::uint64_t sta_version_ = 0;
@@ -170,7 +129,6 @@ class ProbeContext {
   std::vector<GateId> delta_gates_;
   std::vector<GateId> delta_arr_;
   std::vector<GateId> delta_nets_;
-  std::vector<GateId> delta_dirty_;
 };
 
 }  // namespace rapids

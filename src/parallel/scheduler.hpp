@@ -89,10 +89,6 @@ struct SchedulerOptions {
   /// Worker count (>=1). 1 runs the identical pipeline inline — the
   /// determinism reference point.
   int threads = 1;
-  /// Fanout-cone truncation depth for conflict signatures.
-  int cone_depth = 2;
-  /// Base seed for the per-worker RNG substreams.
-  std::uint64_t seed = 0x5eed5ULL;
   /// Session the round's observability (trace spans, provenance records)
   /// and worker pool belong to. Null = the process-default context: the
   /// scheduler owns a private pool and records on the singletons — the
@@ -109,7 +105,6 @@ struct SchedulerStats {
   std::uint64_t committed = 0;
   std::uint64_t conflicted = 0;           // winners overlapping an earlier commit
   std::uint64_t revalidation_rejects = 0; // winners whose live gain evaporated
-  std::uint64_t stale_cross_sg = 0;       // cross-sg winners dropped by epoch bump
   // Phase wall times: probe_round (worker fan-out incl. replica sync),
   // arbitration overhead, and live commits (disjoint — arbitrate excludes
   // the commit time). Replica sync cost is broken out in `sync`;
@@ -170,9 +165,9 @@ class ParallelRewireScheduler {
                           double threshold, double base_critical,
                           double base_sum) const;
 
-  /// Absorb per-context engine/session/partition/sync counters into the
-  /// live engine and scheduler totals; returns the replica probe count of
-  /// the harvested window. Main thread only, workers quiescent.
+  /// Absorb per-context engine/sync counters into the live engine and
+  /// scheduler totals; returns the replica probe count of the harvested
+  /// window. Main thread only, workers quiescent.
   std::uint64_t harvest_worker_counters();
 
   RewireEngine& engine_;

@@ -1,6 +1,6 @@
 #include "rewire/cross_sg.hpp"
 
-#include <algorithm>
+#include <cstdlib>
 
 #include "rewire/inverter.hpp"
 #include "sym/atpg_check.hpp"
@@ -56,13 +56,6 @@ int count_ones(const std::vector<LeafInfo>& leaves, int flip) {
   return n;
 }
 
-GateId make_inverter(Network& net, Placement& placement, const CellLibrary& lib,
-                     GateId signal, const Pin& sink, CrossSgEdit& edit) {
-  const GateId inv = insert_inverter_at(net, placement, lib, signal, sink);
-  edit.added_inverters.push_back(inv);
-  return inv;
-}
-
 GateType flipped_type(GateType t) {
   switch (t) {
     case GateType::And:
@@ -83,8 +76,7 @@ GateType flipped_type(GateType t) {
 /// src_v. Pairs equal polarities first; mismatches go through inverters.
 int reconnect_group(Network& net, Placement& placement, const CellLibrary& lib,
                     const std::vector<LeafInfo>& dst, int dst_flip,
-                    const std::vector<std::pair<GateId, int>>& src,
-                    CrossSgEdit& edit) {
+                    const std::vector<std::pair<GateId, int>>& src) {
   RAPIDS_ASSERT(dst.size() == src.size());
   std::vector<std::size_t> src_by_v[2];
   for (std::size_t j = 0; j < src.size(); ++j) {
@@ -106,10 +98,9 @@ int reconnect_group(Network& net, Placement& placement, const CellLibrary& lib,
     }
     GateId driver = src[j].first;
     if (invert) {
-      driver = make_inverter(net, placement, lib, driver, leaf.pin, edit);
+      driver = insert_inverter_at(net, placement, lib, driver, leaf.pin);
       ++inverters;
     }
-    edit.moved_pins.push_back(CrossSgEdit::PinRestore{leaf.pin, net.driver_of(leaf.pin)});
     net.set_fanin(leaf.pin, driver);
   }
   return inverters;
@@ -143,9 +134,6 @@ std::vector<CrossSgCandidate> find_cross_sg_candidates(const GisgPartition& part
         c.sg_a = part.sg_of_gate[sa->root];
         c.sg_b = part.sg_of_gate[sb->root];
         c.inverting = (sg.type == SgType::AndOr && pol == SwapPolarity::Inverting);
-        c.gen_enclosing = sg.generation;
-        c.gen_a = sa->generation;
-        c.gen_b = sb->generation;
         out.push_back(c);
       }
     }
@@ -153,16 +141,9 @@ std::vector<CrossSgCandidate> find_cross_sg_candidates(const GisgPartition& part
   return out;
 }
 
-void apply_cross_sg_swap_into(Network& net, Placement& placement, const CellLibrary& lib,
-                              const GisgPartition& part, const CrossSgCandidate& cand,
-                              CrossSgEdit& edit) {
-  RAPIDS_ASSERT_MSG(!edit.applied, "edit record still holds an applied swap");
-  edit.inverters_added = 0;
-  edit.gates_retyped = 0;
-  edit.moved_pins.clear();
-  edit.added_inverters.clear();
-  edit.retyped.clear();
-  edit.dirty_nets.clear();
+CrossSgEdit apply_cross_sg_swap(Network& net, Placement& placement, const CellLibrary& lib,
+                                const GisgPartition& part, const CrossSgCandidate& cand) {
+  CrossSgEdit edit;
   const SuperGate& enclosing = part.sgs[static_cast<std::size_t>(cand.enclosing_sg)];
   const SuperGate& sga = part.sgs[static_cast<std::size_t>(cand.sg_a)];
   const SuperGate& sgb = part.sgs[static_cast<std::size_t>(cand.sg_b)];
@@ -203,8 +184,8 @@ void apply_cross_sg_swap_into(Network& net, Placement& placement, const CellLibr
   for (const LeafInfo& l : la) drivers_a.emplace_back(net.driver_of(l.pin), l.v);
   for (const LeafInfo& l : lb) drivers_b.emplace_back(net.driver_of(l.pin), l.v);
 
-  edit.inverters_added += reconnect_group(net, placement, lib, la, f, drivers_b, edit);
-  edit.inverters_added += reconnect_group(net, placement, lib, lb, f, drivers_a, edit);
+  edit.inverters_added += reconnect_group(net, placement, lib, la, f, drivers_b);
+  edit.inverters_added += reconnect_group(net, placement, lib, lb, f, drivers_a);
 
   if (f == 1) {
     for (const SuperGate* sg : {&sga, &sgb}) {
@@ -212,7 +193,6 @@ void apply_cross_sg_swap_into(Network& net, Placement& placement, const CellLibr
         const GateType t = net.type(g);
         const GateType nt = flipped_type(t);
         if (nt == t) continue;
-        edit.retyped.push_back(CrossSgEdit::Retype{g, t, net.cell(g)});
         net.set_type(g, nt);
         ++edit.gates_retyped;
         const std::int32_t old_cell = net.cell(g);
@@ -225,55 +205,8 @@ void apply_cross_sg_swap_into(Network& net, Placement& placement, const CellLibr
       }
     }
   }
-  // Dirty-net set for STA invalidation: every driver that lost or gained a
-  // sink (old drivers, new drivers, inverter inputs), the inverters
-  // themselves, and the fanin nets of retyped gates (their sink pin caps
-  // changed with the cell). Deduplicated via sort/unique.
-  for (const auto& [d, v] : drivers_a) edit.dirty_nets.push_back(d);
-  for (const auto& [d, v] : drivers_b) edit.dirty_nets.push_back(d);
-  for (const GateId inv : edit.added_inverters) edit.dirty_nets.push_back(inv);
-  for (const CrossSgEdit::Retype& r : edit.retyped) {
-    for (const GateId d : net.fanins(r.gate)) edit.dirty_nets.push_back(d);
-  }
-  std::sort(edit.dirty_nets.begin(), edit.dirty_nets.end());
-  edit.dirty_nets.erase(std::unique(edit.dirty_nets.begin(), edit.dirty_nets.end()),
-                        edit.dirty_nets.end());
   edit.applied = true;
-}
-
-CrossSgEdit apply_cross_sg_swap(Network& net, Placement& placement, const CellLibrary& lib,
-                                const GisgPartition& part, const CrossSgCandidate& cand) {
-  CrossSgEdit edit;
-  apply_cross_sg_swap_into(net, placement, lib, part, cand, edit);
   return edit;
-}
-
-void undo_cross_sg_swap(Network& net, Placement& placement, CrossSgEdit& edit) {
-  RAPIDS_ASSERT(edit.applied);
-  // Reverse order: retyping back first, then pins back onto their original
-  // drivers, then the now-fanout-free inverters out.
-  for (const CrossSgEdit::Retype& r : edit.retyped) {
-    net.set_type(r.gate, r.old_type);
-    net.set_cell(r.gate, r.old_cell);
-  }
-  for (auto it = edit.moved_pins.rbegin(); it != edit.moved_pins.rend(); ++it) {
-    net.set_fanin(it->pin, it->old_driver);
-  }
-  // Reverse creation order so the recycled-id free stack is restored
-  // exactly (same contract as undo_swap: probes must not perturb the
-  // allocator, or probe results become history-dependent).
-  for (auto it = edit.added_inverters.rbegin(); it != edit.added_inverters.rend();
-       ++it) {
-    const GateId inv = *it;
-    RAPIDS_ASSERT_MSG(net.fanout_count(inv) == 0,
-                      "inserted inverter acquired sinks before undo");
-    placement.unset(inv);
-    net.delete_gate(inv);
-  }
-  edit.moved_pins.clear();
-  edit.added_inverters.clear();
-  edit.retyped.clear();
-  edit.applied = false;
 }
 
 }  // namespace rapids

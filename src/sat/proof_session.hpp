@@ -88,39 +88,6 @@ struct ProofSessionStats {
   std::uint64_t entries_invalidated = 0;
   std::uint64_t recycled_ids_invalidated = 0;
   std::uint64_t cache_wipes = 0;
-
-  /// Field-wise combine/delta (all counters are monotone; -= computes the
-  /// harvest window between two snapshots). Keep the field list in these
-  /// two operators ONLY — per-field arithmetic anywhere else will silently
-  /// miss the next added counter.
-  ProofSessionStats& operator+=(const ProofSessionStats& o) {
-    moves_checked += o.moves_checked;
-    roots_proved_structurally += o.roots_proved_structurally;
-    roots_proved_by_sat += o.roots_proved_by_sat;
-    conflicts += o.conflicts;
-    gates_encoded += o.gates_encoded;
-    cache_hits += o.cache_hits;
-    windows_kept += o.windows_kept;
-    windows_abandoned += o.windows_abandoned;
-    entries_invalidated += o.entries_invalidated;
-    recycled_ids_invalidated += o.recycled_ids_invalidated;
-    cache_wipes += o.cache_wipes;
-    return *this;
-  }
-  ProofSessionStats& operator-=(const ProofSessionStats& o) {
-    moves_checked -= o.moves_checked;
-    roots_proved_structurally -= o.roots_proved_structurally;
-    roots_proved_by_sat -= o.roots_proved_by_sat;
-    conflicts -= o.conflicts;
-    gates_encoded -= o.gates_encoded;
-    cache_hits -= o.cache_hits;
-    windows_kept -= o.windows_kept;
-    windows_abandoned -= o.windows_abandoned;
-    entries_invalidated -= o.entries_invalidated;
-    recycled_ids_invalidated -= o.recycled_ids_invalidated;
-    cache_wipes -= o.cache_wipes;
-    return *this;
-  }
 };
 
 class ProofSession {

@@ -137,15 +137,6 @@ struct PartitionStats {
     groups_reused += o.groups_reused;
     return *this;
   }
-  PartitionStats& operator-=(const PartitionStats& o) {
-    full_rebuilds -= o.full_rebuilds;
-    incremental_updates -= o.incremental_updates;
-    sgs_reextracted -= o.sgs_reextracted;
-    sgs_reused -= o.sgs_reused;
-    gates_reextracted -= o.gates_reextracted;
-    groups_reused -= o.groups_reused;
-    return *this;
-  }
 };
 
 struct GisgPartition {
@@ -169,19 +160,11 @@ struct GisgPartition {
   std::size_t live_slots = 0;
   /// Monotone extraction-batch counter; every (re)extracted supergate is
   /// stamped with the batch that built it. Never reset, including across
-  /// full rebuilds through extract_gisg_into — so a stamp held by a stale
-  /// candidate can never collide with a later slot reuse.
+  /// full rebuilds through extract_gisg_into — so a stamp a cached probe
+  /// group holds can never collide with a later slot reuse.
   std::uint64_t generation = 0;
 
   const SuperGate* sg_containing(GateId g) const;
-
-  /// True when `slot` is in range, live, and still carries `generation` —
-  /// the freshness test for candidates that index the partition.
-  bool slot_fresh(int slot, std::uint64_t gen) const {
-    return slot >= 0 && static_cast<std::size_t>(slot) < sgs.size() &&
-           sgs[static_cast<std::size_t>(slot)].live() &&
-           sgs[static_cast<std::size_t>(slot)].generation == gen;
-  }
 
   std::size_t num_live() const;
 

@@ -171,7 +171,6 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
                   static_cast<std::uint64_t>(r.swaps_committed + r.resizes_committed));
   reg.add_counter("scheduler.conflicted", r.sched_conflicted);
   reg.add_counter("scheduler.revalidation_rejects", r.sched_revalidation_rejects);
-  reg.add_counter("scheduler.stale_cross_sg", r.sched_stale_cross_sg);
 
   // Timing propagation shape — the damping yardstick: gates_propagated /
   // probes is the per-probe cost the slack-margin cutoff exists to flatten.

@@ -15,7 +15,7 @@
 //
 // Sharding model: the hot paths never touch the registry. Workers
 // accumulate into their existing per-worker stat shards (ShardedStats,
-// per-replica EngineStats/ProofSessionStats windows), the scheduler merges
+// per-replica EngineStats windows), the scheduler merges
 // those at round barriers exactly as before, and collect_flow_metrics()
 // projects the merged result into the registry once per run. merge() folds
 // registries across runs/sessions (counters add, gauges last-write-win,

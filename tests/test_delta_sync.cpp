@@ -1,8 +1,8 @@
 // O(dirty) replica delta sync: differential equality against the full
 // clone path (network bytes, STA state, placement — a fresh context's first
 // sync is always a full clone, so it is the reference), multi-epoch
-// catch-up through the journal, fallback after out-of-band run_full,
-// replica staleness predicates (mid-epoch run_full and partition rebuilds),
+// catch-up through the journal, fallback after out-of-band run_full, the
+// replica staleness predicate (mid-epoch run_full),
 // exact sync counters on a hand-counted trace, and the flow-level
 // guarantees — threads 1 (never syncs) vs N (delta syncs) bit-identity on
 // generated circuits, and swap-cache self-check.
@@ -44,12 +44,24 @@ void expect_replicas_equal(const ProbeContext& delta, const ProbeContext& clone)
     EXPECT_EQ(da[i].rise, ca[i].rise) << "arrival mismatch at gate " << i;
     EXPECT_EQ(da[i].fall, ca[i].fall) << "arrival mismatch at gate " << i;
   }
+  // Committed swaps place the inverters they insert: the delta path copies
+  // placement rows for touched gates only.
+  const Placement& dp = delta.replica_placement();
+  const Placement& cp = clone.replica_placement();
+  ASSERT_EQ(dp.id_bound(), cp.id_bound());
+  for (GateId g = 0; g < dp.id_bound(); ++g) {
+    ASSERT_EQ(dp.is_placed(g), cp.is_placed(g)) << "placement mismatch at gate " << g;
+    if (dp.is_placed(g)) {
+      EXPECT_EQ(dp.at(g).x, cp.at(g).x) << "placement mismatch at gate " << g;
+      EXPECT_EQ(dp.at(g).y, cp.at(g).y) << "placement mismatch at gate " << g;
+    }
+  }
 }
 
 /// Assert `ctx` matches the clone-sync reference: a fresh context synced
 /// to `live` now, whose first sync always takes the full clone path.
 void expect_matches_fresh_clone(const ProbeContext& ctx, RewireEngine& live) {
-  ProbeContext fresh(lib035(), 1, 1);
+  ProbeContext fresh(lib035());
   fresh.sync(live);
   const ReplicaSyncStats s = fresh.take_sync_stats();
   EXPECT_EQ(s.full_syncs, 1u);
@@ -81,7 +93,7 @@ struct LiveFixture {
 TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
   LiveFixture f(4242);
 
-  ProbeContext delta_ctx(lib035(), 1, 0);
+  ProbeContext delta_ctx(lib035());
   delta_ctx.sync(f.engine);
   expect_matches_fresh_clone(delta_ctx, f.engine);
 
@@ -115,7 +127,7 @@ TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
 
 TEST(DeltaSync, LaggingReplicaCatchesUpOverMultipleEpochs) {
   LiveFixture f(777);
-  ProbeContext lag_ctx(lib035(), 1, 0);
+  ProbeContext lag_ctx(lib035());
   lag_ctx.sync(f.engine);
   int commits = 0;
   for (int round = 0; round < 12 && commits < 6; ++round) {
@@ -137,7 +149,7 @@ TEST(DeltaSync, LaggingReplicaCatchesUpOverMultipleEpochs) {
 
 TEST(DeltaSync, FallsBackToFullSyncAfterOutOfBandRunFull) {
   LiveFixture f(90125);
-  ProbeContext ctx(lib035(), 1, 0);
+  ProbeContext ctx(lib035());
   ctx.sync(f.engine);
 
   const std::vector<SwapCandidate> cands =
@@ -156,7 +168,7 @@ TEST(DeltaSync, FallsBackToFullSyncAfterOutOfBandRunFull) {
   EXPECT_GE(st.full_syncs, 2u);  // initial sync + post-run_full fallback
 }
 
-// --- replica staleness predicates (late-adopt regressions) -------------------
+// --- replica staleness predicate ----------------------------------------------
 
 TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
   // Regression: an out-of-band run_full (journal restart) rebuilds the live
@@ -164,7 +176,7 @@ TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
   // before it passes the bare epoch check but holds pre-restart arrivals —
   // the trap the scheduler's old skip-sync fast path fell into.
   LiveFixture f(90125);
-  ProbeContext ctx(lib035(), 1, 0);
+  ProbeContext ctx(lib035());
   ctx.sync(f.engine);
   EXPECT_TRUE(ctx.in_sync_with(f.engine));
 
@@ -178,56 +190,6 @@ TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
 }
 
-TEST(ProbeContextSync, PartitionRebuildInsideEpochDetectedByGeneration) {
-  // Regression: invalidate_partition() + a rebuild renumbers supergate
-  // slots and re-mints generation stamps without advancing the commit
-  // epoch. A replica that adopted before the rebuild would resolve CrossSg
-  // slots against stale numbering; partition_adopted() alone cannot see it.
-  LiveFixture f(4242);
-  ProbeContext ctx(lib035(), 1, 0);
-  ctx.sync(f.engine, /*with_partition=*/true);
-  EXPECT_TRUE(ctx.partition_adopted());
-  EXPECT_TRUE(ctx.partition_current(f.engine));
-
-  const std::uint64_t gen_before = f.engine.partition().generation;
-  f.engine.invalidate_partition();
-  const std::uint64_t gen_after = f.engine.partition().generation;  // rebuilds
-  EXPECT_GT(gen_after, gen_before);  // monotone stamp — never reset
-
-  // Same epoch, same STA: the replica still *looks* synced...
-  EXPECT_TRUE(ctx.in_sync_with(f.engine));
-  // ...but its adopted partition is provably stale.
-  EXPECT_TRUE(ctx.partition_adopted());
-  EXPECT_FALSE(ctx.partition_current(f.engine));
-
-  ctx.adopt_partition_from(f.engine);
-  EXPECT_TRUE(ctx.partition_current(f.engine));
-}
-
-TEST(ProbeContextSync, SameEpochRepeatSyncReadoptsRebuiltPartition) {
-  // The sync() delta path itself must re-adopt on a stale generation, not
-  // just on a missing adoption: a repeat sync in the same epoch after a
-  // live rebuild used to keep the pre-rebuild slot bookkeeping.
-  LiveFixture f(777);
-  ProbeContext ctx(lib035(), 1, 0);
-  ctx.sync(f.engine, /*with_partition=*/true);
-
-  // Advance one epoch so the journal is live, then sync onto it.
-  const std::vector<SwapCandidate> cands =
-      enumerate_all_swaps(f.engine.partition(), f.net);
-  ASSERT_FALSE(cands.empty());
-  f.engine.commit(EngineMove::swap(cands[0]));
-  ctx.sync(f.engine, /*with_partition=*/true);
-  EXPECT_TRUE(ctx.partition_current(f.engine));
-
-  // Mid-epoch rebuild; the repeat same-epoch sync must notice and re-adopt.
-  f.engine.invalidate_partition();
-  (void)f.engine.partition();
-  EXPECT_FALSE(ctx.partition_current(f.engine));
-  ctx.sync(f.engine, /*with_partition=*/true);
-  EXPECT_TRUE(ctx.partition_current(f.engine));
-}
-
 // --- exact replica-sync counters ---------------------------------------------
 
 TEST(ProbeContextSync, SyncCountersAreExactOnHandCountedTrace) {
@@ -237,7 +199,7 @@ TEST(ProbeContextSync, SyncCountersAreExactOnHandCountedTrace) {
   // full_syncs exactly the clone-path syncs. Same-epoch repeat calls are
   // no-ops and must not inflate anything — the metrics-json contract.
   LiveFixture f(4242);
-  ProbeContext ctx(lib035(), 1, 0);
+  ProbeContext ctx(lib035());
 
   const auto commit_some = [&](int want) {
     int done = 0;

@@ -389,8 +389,9 @@ INSTANTIATE_TEST_SUITE_P(Table1, ParanoidSessionFlowSlow,
                          ::testing::Values("alu2", "c432", "c499"));
 
 TEST(ParanoidSessionFlowSlow, ThreadsStayBitIdenticalInSessionMode) {
-  // Session mode with per-worker sessions must keep the parallel
-  // determinism contract: --threads N bit-identical to --threads 1.
+  // Paranoid mode must keep the parallel determinism contract: --threads N
+  // bit-identical to --threads 1. Only the live engine proves (replicas
+  // never commit), so every proof counter is thread-invariant too.
   const CellLibrary& lib = rapids::testing::lib035();
   FlowOptions options;
   options.opt.paranoid = true;
@@ -406,6 +407,12 @@ TEST(ParanoidSessionFlowSlow, ThreadsStayBitIdenticalInSessionMode) {
   EXPECT_EQ(blif_of(serial.optimized), blif_of(parallel.optimized));
   EXPECT_EQ(serial.result.moves_proved, parallel.result.moves_proved);
   EXPECT_EQ(serial.result.paranoid_verdicts, parallel.result.paranoid_verdicts);
+  EXPECT_EQ(serial.result.proof_gates_encoded, parallel.result.proof_gates_encoded);
+  EXPECT_EQ(serial.result.proof_conflicts, parallel.result.proof_conflicts);
+  EXPECT_EQ(serial.result.proof_cache_hits, parallel.result.proof_cache_hits);
+  EXPECT_EQ(serial.result.proof_roots_structural,
+            parallel.result.proof_roots_structural);
+  EXPECT_EQ(serial.result.proof_roots_by_sat, parallel.result.proof_roots_by_sat);
 }
 
 }  // namespace
