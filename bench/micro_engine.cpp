@@ -92,7 +92,7 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
   }
 
   // Parallel probe throughput: the same candidates, one group per
-  // supergate, through the conflict-sharded scheduler at `threads` workers.
+  // supergate, through the weight-sharded scheduler at `threads` workers.
   if (threads > 0) {
     std::vector<ProbeGroup> groups;
     {

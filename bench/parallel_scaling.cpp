@@ -1,5 +1,5 @@
 // Parallel scheduler scaling gauge: probe throughput and commit efficiency
-// of the conflict-sharded worker pool versus the serial engine, per thread
+// of the weight-sharded worker pool versus the serial engine, per thread
 // count, emitted as machine-readable JSON (BENCH_parallel.json) so the
 // scaling trajectory is tracked across PRs.
 //
@@ -99,7 +99,7 @@ struct ThreadPoint {
   double commit_efficiency = 0.0;
   int committed = 0;
   // Per-round per-worker probe-count distribution (load balance of the
-  // conflict sharding; from the scheduler's ShardedStats). `skew` is
+  // probe-weight sharding; from the scheduler's ShardedStats). `skew` is
   // max/mean — 1.0 is perfect balance, and the weight-based sharding is
   // asserted to keep it under kMaxLoadSkew (count-based sharding measured
   // 7x on c1908).

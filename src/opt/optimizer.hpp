@@ -16,7 +16,7 @@
 //
 // Every phase is a generate -> shard -> parallel-probe -> arbitrate ->
 // commit round through the ParallelRewireScheduler (src/parallel): probe
-// evaluation fans out across `threads` conflict-sharded workers, and the
+// evaluation fans out across `threads` weight-sharded workers, and the
 // commit arbiter re-validates winners against the live state in a
 // canonical order — so any `threads` value produces a bit-identical
 // netlist to `threads = 1`.
@@ -170,8 +170,9 @@ struct OptimizerResult {
   std::uint64_t candidates_enumerated = 0;
   std::uint64_t pruned_groups_cached = 0;
   /// Scheduler round/arbitration counters (merged across phases):
-  /// committed/accepted is the arbitration yield, conflicted +
-  /// revalidation_rejects the wasted winners.
+  /// committed/accepted is the arbitration yield, revalidation_rejects
+  /// the wasted winners, and conflicted the winners whose live re-probe
+  /// differed from their round-baseline probe. All thread-invariant.
   std::uint64_t sched_rounds = 0;
   std::uint64_t sched_accepted = 0;
   std::uint64_t sched_conflicted = 0;

@@ -19,6 +19,20 @@ constexpr double kGainTie = 1e-12;
 constexpr double kCritSlack = 1e-9;
 }  // namespace
 
+std::vector<int> assign_shards(std::span<const std::uint64_t> weights,
+                               int num_shards) {
+  num_shards = std::max(num_shards, 1);
+  std::vector<int> shard_of(weights.size(), 0);
+  std::vector<std::uint64_t> load(static_cast<std::size_t>(num_shards), 0);
+  for (std::size_t g = 0; g < weights.size(); ++g) {
+    const int s = static_cast<int>(std::min_element(load.begin(), load.end()) -
+                                   load.begin());
+    shard_of[g] = s;
+    load[static_cast<std::size_t>(s)] += weights[g];
+  }
+  return shard_of;
+}
+
 ParallelRewireScheduler::ParallelRewireScheduler(RewireEngine& engine,
                                                 const SchedulerOptions& options)
     : engine_(engine), options_(options),
@@ -69,6 +83,7 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
           r.move = move;
           r.move_index = static_cast<int>(i);
           r.has_move = true;
+          r.probed = obj;
           best_gain = gain;
           best_sum_gain = sum_gain;
         }
@@ -90,6 +105,7 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
           r.move = move;
           r.move_index = static_cast<int>(i);
           r.has_move = true;
+          r.probed = obj;
           best_sum_gain = sum_gain;
           r.crit_gain = base_critical - obj.critical;
         }
@@ -106,6 +122,7 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
           r.move = move;
           r.move_index = static_cast<int>(i);
           r.has_move = true;
+          r.probed = obj;
           r.crit_gain = base_critical - obj.critical;
           r.sum_gain = base_sum - obj.sum_po;
           break;
@@ -146,8 +163,6 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
     // pure functions of state (ProbeContext.ReplicaProbesMatchLiveEngine
     // asserts replica and live probes are bit-identical), so this produces
     // the same results as a one-replica round without the clone/sync cost.
-    // Conflict signatures exist only to shard and to count arbitration
-    // conflicts, so they are skipped here too.
     std::uint64_t round_probes = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       results[g] = probe_group(engine_, serial_scratch_, static_cast<int>(g),
@@ -162,11 +177,6 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
     return results;
   }
 
-  std::vector<ConflictSignature> sigs(groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    sigs[g] = group_signature(engine_.net(), groups[g].moves, kConflictConeDepth);
-  }
-
   // Balance shards on probe WEIGHT (one replica probe per move), not group
   // count: group sizes are heavily skewed (a wide supergate's swap group
   // next to single-candidate resize groups), and count-balanced shards
@@ -175,7 +185,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   for (std::size_t g = 0; g < groups.size(); ++g) {
     weights[g] = groups[g].moves.size();
   }
-  const std::vector<int> shard_of = assign_shards(sigs, weights, workers);
+  const std::vector<int> shard_of = assign_shards(weights, workers);
   std::vector<std::vector<int>> shard_groups(static_cast<std::size_t>(workers));
   for (std::size_t g = 0; g < groups.size(); ++g) {
     shard_groups[static_cast<std::size_t>(shard_of[g])].push_back(
@@ -219,7 +229,6 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
       r = probe_group(ctx.engine(), ctx.scratch(), g,
                       groups[static_cast<std::size_t>(g)], policy, threshold,
                       base_critical, base_sum);
-      r.sig = std::move(sigs[static_cast<std::size_t>(g)]);
       my_probes += static_cast<std::uint64_t>(r.probes);
     }
     // Worker-owned statistics shard: written here, merged after the
@@ -252,8 +261,8 @@ std::uint64_t ParallelRewireScheduler::harvest_worker_counters() {
 }
 
 int ParallelRewireScheduler::arbitrate_and_commit(
-    std::vector<GroupResult> results, ProbePolicy policy, double threshold,
-    std::span<const ProbeGroup> groups) {
+    std::vector<GroupResult> results, std::span<const ProbeGroup> groups,
+    ProbePolicy policy, double threshold) {
   const Timer arb_timer;
   double commit_seconds = 0.0;
   TraceSpan arb_span(session_->tracer(), "arbitrate", "arbitrate_round");
@@ -290,7 +299,6 @@ int ParallelRewireScheduler::arbitrate_and_commit(
   }
 
   int committed = 0;
-  ConflictSignature committed_union;
   // Provenance records happen HERE and only here: this loop is serial and
   // consumes winners in the canonical order, so the event stream is
   // worker-count-independent. `stats_.rounds` is the round coordinate of
@@ -302,45 +310,40 @@ int ParallelRewireScheduler::arbitrate_and_commit(
     const std::uint64_t win_id = make_move_id(round, r.group, r.move_index);
     prov.record(win_id, ProvenanceStage::ProbeWin,
                 policy == ProbePolicy::Relaxation ? r.sum_gain : r.crit_gain);
-    if (committed_union.overlaps(r.sig)) {
+
+    // Re-validate against the LIVE state: earlier commits may have absorbed
+    // or invalidated the replica-probed gain. That is the round's only
+    // conflict check — an objective that moved at all means an earlier
+    // commit reached what this move evaluates.
+    ++stats_.arbiter_probes;
+    const double before_crit = engine_.sta().critical_delay();
+    const double before_sum = policy == ProbePolicy::Relaxation
+                                  ? engine_.sta().sum_po_arrival()
+                                  : 0.0;
+    const EngineObjective obj = engine_.probe(r.move);
+    if (obj.critical != r.probed.critical || obj.sum_po != r.probed.sum_po) {
       ++stats_.conflicted;
       prov.record(win_id, ProvenanceStage::Conflicted);
     }
-
-    // Re-validate against the LIVE state: earlier commits may have absorbed
-    // or invalidated the replica-probed gain.
-    ++stats_.arbiter_probes;
     bool take = false;
     double live_gain = 0.0;  // gain under the round's own objective
     switch (policy) {
-      case ProbePolicy::MinCritical: {
-        const double before = engine_.sta().critical_delay();
-        const EngineObjective obj = engine_.probe(r.move);
-        live_gain = before - obj.critical;
+      case ProbePolicy::MinCritical:
+        live_gain = before_crit - obj.critical;
         take = live_gain > threshold;
         break;
-      }
-      case ProbePolicy::Relaxation: {
-        const double before_crit = engine_.sta().critical_delay();
-        const double before_sum = engine_.sta().sum_po_arrival();
-        const EngineObjective obj = engine_.probe(r.move);
+      case ProbePolicy::Relaxation:
         live_gain = before_sum - obj.sum_po;
-        take = obj.critical <= before_crit + kCritSlack &&
-               live_gain > threshold;
+        take = obj.critical <= before_crit + kCritSlack && live_gain > threshold;
         break;
-      }
-      case ProbePolicy::FirstFit: {
-        const double before = engine_.sta().critical_delay();
-        const EngineObjective obj = engine_.probe(r.move);
-        live_gain = before - obj.critical;
+      case ProbePolicy::FirstFit:
+        live_gain = before_crit - obj.critical;
         take = obj.critical <= threshold;
         break;
-      }
     }
     EngineMove chosen = r.move;
     std::uint64_t chosen_id = win_id;
-    if (!take && policy == ProbePolicy::FirstFit && r.group >= 0 &&
-        static_cast<std::size_t>(r.group) < groups.size()) {
+    if (!take && policy == ProbePolicy::FirstFit) {
       // The replica-chosen candidate no longer fits the live state. Replay
       // the serial algorithm for this group: probe every candidate live,
       // in order, and take the first fit (an earlier candidate that failed
@@ -374,7 +377,6 @@ int ParallelRewireScheduler::arbitrate_and_commit(
       commit_seconds += commit_timer.seconds();
       ++committed;
       ++stats_.committed;
-      committed_union.merge(r.sig);
       stats_.gain_hist.add(live_gain);
       prov.record(chosen_id, ProvenanceStage::Committed, live_gain);
       // Paranoid mode appends one verdict per proved swap commit; thread it
@@ -407,7 +409,7 @@ int ParallelRewireScheduler::arbitrate_and_commit(
 int ParallelRewireScheduler::run_round(std::span<const ProbeGroup> groups,
                                        ProbePolicy policy, double threshold) {
   std::vector<GroupResult> results = probe_round(groups, policy, threshold);
-  return arbitrate_and_commit(std::move(results), policy, threshold, groups);
+  return arbitrate_and_commit(std::move(results), groups, policy, threshold);
 }
 
 }  // namespace rapids

@@ -1,4 +1,4 @@
-// Parallel rewiring scheduler: conflict-sharded probe fan-out with
+// Parallel rewiring scheduler: weight-balanced probe fan-out with
 // deterministic commit arbitration.
 //
 // One optimization round is a pipeline:
@@ -6,11 +6,10 @@
 //   generate   — the caller (optimizer phase, bench) builds candidate
 //                GROUPS: one supergate's swaps, one gate's resizes. A round
 //                commits at most one move per group.
-//   shard      — groups are sharded by conflict signature (parallel/
-//                conflict): overlapping groups share a shard where load
-//                balance permits (oversized conflict components are split;
-//                see conflict.hpp — safe because correctness rests on
-//                replica isolation + arbitration, not on sharding).
+//   shard      — groups are dealt, in canonical group order, onto the shard
+//                with the least probe weight so far (weight = move count;
+//                see assign_shards). Which shard probes a group changes no
+//                result: every probe is a pure function of replica state.
 //   probe      — a fixed worker pool evaluates shards concurrently. Each
 //                worker owns a ProbeContext — a full replica of the live
 //                state synced per epoch — so probing shares no mutable
@@ -22,7 +21,9 @@
 //                and scheduling), re-probed against the LIVE engine state
 //                at the current epoch, and committed only if they still
 //                pay. Commits are serial, on the one live engine, in that
-//                canonical order.
+//                canonical order. This live re-probe is the only conflict
+//                check: a winner whose live objective is not bit-identical
+//                to its round-baseline probe is counted `conflicted`.
 //
 // The round is a barrier: every probe of round N finishes before round N's
 // arbitration starts, and round N+1's probes see round N's commits. Rounds
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
-#include "parallel/conflict.hpp"
 #include "parallel/probe_context.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -82,8 +82,18 @@ struct GroupResult {
   int probes = 0;          // probe evaluations this group cost
   double crit_gain = 0.0;  // round-baseline critical minus probed critical
   double sum_gain = 0.0;   // round-baseline sum_po minus probed sum_po
-  ConflictSignature sig;   // conflict signature of the selected move's group
+  EngineObjective probed;  // round-baseline probe objective of `move`
 };
+
+/// Shard assignment for a round's groups: returns shard_of[g] in
+/// [0, num_shards). Each group goes, in canonical group order, to the shard
+/// with the least weight so far (ties: lowest shard). `weights[g]` is group
+/// g's probe cost — the scheduler passes the move count, one replica probe
+/// per move. Balancing on weight, not group count, keeps per-worker probe
+/// totals even when group sizes are skewed (one supergate with 100 swap
+/// pairs next to many 1-resize groups). Pure function of its arguments.
+std::vector<int> assign_shards(std::span<const std::uint64_t> weights,
+                               int num_shards);
 
 struct SchedulerOptions {
   /// Worker count (>=1). 1 runs the identical pipeline inline — the
@@ -103,7 +113,7 @@ struct SchedulerStats {
   std::uint64_t arbiter_probes = 0;       // live re-validation probes
   std::uint64_t accepted = 0;             // per-group winners entering arbitration
   std::uint64_t committed = 0;
-  std::uint64_t conflicted = 0;           // winners overlapping an earlier commit
+  std::uint64_t conflicted = 0;           // live re-probe != round-baseline probe
   std::uint64_t revalidation_rejects = 0; // winners whose live gain evaporated
   // Phase wall times: probe_round (worker fan-out incl. replica sync),
   // arbitration overhead, and live commits (disjoint — arbitrate excludes
@@ -132,25 +142,16 @@ class ParallelRewireScheduler {
 
   int threads() const { return pool_->workers(); }
 
-  /// Shard `groups` by conflict signature and probe them in parallel
-  /// against the live state. Returns one result per group, indexed like
-  /// `groups`, independent of worker count. (Spans accept plain vectors;
-  /// the optimizer passes its pooled group storage without copying.)
+  /// Shard `groups` by probe weight and probe them in parallel against the
+  /// live state. Returns one result per group, indexed like `groups`,
+  /// independent of worker count. (Spans accept plain vectors; the
+  /// optimizer passes its pooled group storage without copying.)
   std::vector<GroupResult> probe_round(std::span<const ProbeGroup> groups,
                                        ProbePolicy policy, double threshold);
 
-  /// Re-validate a round's winners against the live epoch and commit the
-  /// survivors in canonical order. Returns the number committed. When
-  /// `groups` is supplied, a FirstFit winner whose live re-validation
-  /// fails falls back to replaying the serial scan for its group (every
-  /// candidate probed live, in order, first fit wins). Groups with no
-  /// replica winner are pruned before arbitration — the round's parallel
-  /// win, and its one deliberate divergence from the serial algorithm.
-  int arbitrate_and_commit(std::vector<GroupResult> results, ProbePolicy policy,
-                           double threshold,
-                           std::span<const ProbeGroup> groups = {});
-
-  /// probe_round + arbitrate_and_commit.
+  /// probe_round, then re-validate the round's winners against the live
+  /// epoch and commit the survivors in canonical order. Returns the number
+  /// committed.
   int run_round(std::span<const ProbeGroup> groups, ProbePolicy policy,
                 double threshold);
 
@@ -160,6 +161,16 @@ class ParallelRewireScheduler {
   const ShardedStats& worker_probe_stats() const { return probe_stats_; }
 
  private:
+  /// Arbitration half of run_round. A FirstFit winner whose live
+  /// re-validation fails falls back to replaying the serial scan for its
+  /// group (every candidate probed live, in order, first fit wins). Groups
+  /// with no replica winner are pruned before arbitration — the round's
+  /// parallel win, and its one deliberate divergence from the serial
+  /// algorithm.
+  int arbitrate_and_commit(std::vector<GroupResult> results,
+                           std::span<const ProbeGroup> groups, ProbePolicy policy,
+                           double threshold);
+
   GroupResult probe_group(RewireEngine& eng, ProbeScratch& scratch, int group_index,
                           const ProbeGroup& group, ProbePolicy policy,
                           double threshold, double base_critical,

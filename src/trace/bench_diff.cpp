@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <iomanip>
+#include <limits>
 #include <ostream>
 
 #include "util/assert.hpp"
@@ -84,8 +85,14 @@ DiffReport diff_metrics_json(const std::string& before_text,
       ++bi;
       ++ai;
     }
-    if (e.in_before && e.in_after && e.before != 0.0) {
-      e.delta_pct = 100.0 * (e.after - e.before) / std::fabs(e.before);
+    if (e.in_before && e.in_after) {
+      // From a zero baseline any nonzero value is an unbounded change in
+      // its own direction: it exceeds every matching rule on that side.
+      if (e.before != 0.0) {
+        e.delta_pct = 100.0 * (e.after - e.before) / std::fabs(e.before);
+      } else if (e.after != 0.0) {
+        e.delta_pct = std::copysign(std::numeric_limits<double>::infinity(), e.after);
+      }
       for (std::size_t i = 0; i < rules.size(); ++i) {
         if (!glob_match(rules[i].pattern, e.key)) continue;
         const bool bad = rules[i].above ? (e.delta_pct > rules[i].pct)

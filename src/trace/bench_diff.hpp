@@ -8,9 +8,11 @@
 //   fail-above  "time.*=10"          — fail if the new value exceeds the
 //                                      old by more than 10%
 //   fail-below  "rate.probes_per_sec=40" — fail if it drops more than 40%
-// A rule only fires when both sides have the key and the baseline is
-// nonzero (new keys / removed keys are reported but never fail — bench
-// schemas grow).
+// A rule only fires when both sides have the key (new keys / removed keys
+// are reported but never fail — bench schemas grow). A key leaving a zero
+// baseline counts as an unbounded change: it fails every matching
+// fail-above rule when the new value is positive, every fail-below rule
+// when it is negative.
 //
 // Used by both the standalone tools/bench_diff binary and `rapids
 // bench-diff`.
@@ -41,7 +43,7 @@ struct DiffEntry {
   double after = 0.0;
   bool in_before = false;
   bool in_after = false;
-  double delta_pct = 0.0;       // 0 when baseline is 0 or key one-sided
+  double delta_pct = 0.0;       // ±inf off a zero baseline; 0 if one-sided
   int violated_rule = -1;       // index into the rule list, -1 = ok
 };
 

@@ -1,6 +1,6 @@
 // Per-move provenance: every candidate move that wins a probe group gets a
 // stable id, and every decision made about it afterwards — arbitration
-// acceptance, conflict/staleness/re-validation rejection, FirstFit
+// acceptance, conflict, re-validation rejection, FirstFit
 // fallback, commit, paranoid proof verdict — is appended to one ordered
 // event stream. Answers "why did/didn't move X land?" without rerunning.
 //
@@ -25,7 +25,7 @@ namespace rapids {
 
 enum class ProvenanceStage : std::uint8_t {
   ProbeWin = 0,           // group winner entering arbitration
-  Conflicted,             // overlapped an earlier commit this round
+  Conflicted,             // live re-probe differs from the round-baseline probe
   RevalidationReject,     // live re-probe: gain evaporated
   FallbackChosen,         // FirstFit live rescan picked this move instead
   Committed,              // applied to the live engine

@@ -3,7 +3,7 @@
 // The pool is deliberately minimal: one blocking fan-out primitive,
 // `run(fn)`, which invokes fn(worker) exactly once per worker index and
 // returns when every invocation finished. Work DISTRIBUTION is the
-// caller's job (the scheduler assigns conflict shards to worker indices
+// caller's job (the scheduler assigns weight shards to worker indices
 // deterministically), so results never depend on thread scheduling —
 // only on the worker-index -> work mapping, which is a pure function.
 //

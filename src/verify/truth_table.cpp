@@ -30,7 +30,7 @@ TruthTable6 TruthTable6::constant(int num_vars, bool value) {
 }
 
 bool TruthTable6::value_at(std::uint64_t assignment) const {
-  RAPIDS_ASSERT(assignment < (1ULL << (1u << num_vars_)) || num_vars_ == 6);
+  RAPIDS_ASSERT(assignment < (1ULL << num_vars_));
   return (bits_ >> assignment) & 1ULL;
 }
 

@@ -1,8 +1,8 @@
-// Parallel rewiring scheduler: conflict detector (overlapping vs disjoint
-// cones, weight-balanced sharding), thread pool, RNG substreams, sharded
-// stats, replica probe equivalence, and the headline guarantee — `threads N`
-// produces bit-identical netlists, the same committed-move chain and the
-// same work counters as `threads 1`.
+// Parallel rewiring scheduler: weight-balanced sharding, thread pool, RNG
+// substreams, sharded stats, replica probe equivalence, and the headline
+// guarantee — `threads N` produces bit-identical netlists, the same
+// provenance stream and the same work and arbitration counters as
+// `threads 1`.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,8 +18,6 @@
 #include "flow/flow.hpp"
 #include "gen/large.hpp"
 #include "io/blif_writer.hpp"
-#include "netlist/builder.hpp"
-#include "parallel/conflict.hpp"
 #include "parallel/probe_context.hpp"
 #include "parallel/scheduler.hpp"
 #include "place/placer.hpp"
@@ -100,150 +99,52 @@ TEST(ShardedStats, MergesLikeSingleAccumulator) {
   EXPECT_DOUBLE_EQ(merged.max(), serial.max());
 }
 
-// --- conflict detector -------------------------------------------------------
+// --- weight-balanced sharding ------------------------------------------------
 
-/// Two disjoint 2-AND cones feeding separate outputs.
-struct ConflictFixture {
-  Network net;
-  GateId a1, a2, b1, b2;  // and-gate layers: a2 consumes a1, b2 consumes b1
-
-  ConflictFixture() {
-    NetworkBuilder b;
-    const GateId x0 = b.input("x0"), x1 = b.input("x1"), x2 = b.input("x2");
-    const GateId y0 = b.input("y0"), y1 = b.input("y1"), y2 = b.input("y2");
-    a1 = b.and_({x0, x1});
-    a2 = b.and_({a1, x2});
-    b1 = b.and_({y0, y1});
-    b2 = b.and_({b1, y2});
-    b.output("fa", a2);
-    b.output("fb", b2);
-    net = b.take();
+std::vector<std::uint64_t> shard_loads(const std::vector<int>& shard,
+                                       const std::vector<std::uint64_t>& weights,
+                                       int num_shards) {
+  std::vector<std::uint64_t> load(static_cast<std::size_t>(num_shards), 0);
+  for (std::size_t g = 0; g < shard.size(); ++g) {
+    load[static_cast<std::size_t>(shard[g])] += weights[g];
   }
-};
-
-TEST(Conflict, DisjointConesDoNotOverlap) {
-  ConflictFixture f;
-  SwapCandidate sa;
-  sa.pin_a = Pin{f.a1, 0};
-  sa.pin_b = Pin{f.a1, 1};
-  SwapCandidate sb;
-  sb.pin_a = Pin{f.b1, 0};
-  sb.pin_b = Pin{f.b1, 1};
-  const ConflictSignature siga =
-      move_signature(f.net, EngineMove::swap(sa), 2);
-  const ConflictSignature sigb =
-      move_signature(f.net, EngineMove::swap(sb), 2);
-  EXPECT_FALSE(siga.overlaps(sigb));
-  EXPECT_TRUE(siga.overlaps(siga));
+  return load;
 }
 
-TEST(Conflict, FanoutConeMakesDownstreamMovesOverlap) {
-  ConflictFixture f;
-  SwapCandidate shallow;  // rewires a1's pins; its fanout cone reaches a2
-  shallow.pin_a = Pin{f.a1, 0};
-  shallow.pin_b = Pin{f.a1, 1};
-  const EngineMove resize_downstream = EngineMove::resize(f.a2, 0);
-  const ConflictSignature s1 =
-      move_signature(f.net, EngineMove::swap(shallow), 2);
-  const ConflictSignature s2 = move_signature(f.net, resize_downstream, 2);
-  // a2 is in the swap's fanout cone AND the resize touches a1 through its
-  // fanin drivers (a1 drives one of a2's pins — same net).
-  EXPECT_TRUE(s1.overlaps(s2));
-  const ConflictSignature s1d0 =
-      move_signature(f.net, EngineMove::swap(shallow), 0);
-  const ConflictSignature s2d0 = move_signature(f.net, resize_downstream, 0);
-  EXPECT_TRUE(s1d0.overlaps(s2d0));
-}
-
-TEST(Conflict, AssignShardsKeepsOverlappingGroupsTogether) {
-  // Signatures: g0 {1,2}, g1 {2,3} (overlaps g0), g2 {10,11} (disjoint),
-  // g3 {11} (overlaps g2), g4 {20} (alone).
-  std::vector<ConflictSignature> sigs(5);
-  sigs[0].touched = {1, 2};
-  sigs[1].touched = {2, 3};
-  sigs[2].touched = {10, 11};
-  sigs[3].touched = {11};
-  sigs[4].touched = {20};
-  const std::vector<int> shard = assign_shards(sigs, 2);
-  EXPECT_EQ(shard[0], shard[1]);
-  EXPECT_EQ(shard[2], shard[3]);
-  // Three components over two shards: at least two distinct shards used.
-  EXPECT_NE(shard[0], shard[2]);
-  for (const int s : shard) {
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 2);
-  }
-  // Deterministic.
-  EXPECT_EQ(shard, assign_shards(sigs, 2));
+TEST(ShardAssignment, OversizedComponentIsSplitForLoadBalance) {
+  // 40 unit-weight groups over 4 shards: dealing each onto the
+  // least-weighted shard splits them 10/10/10/10 instead of starving the
+  // pool.
+  const std::vector<std::uint64_t> weights(40, 1);
+  const std::vector<int> shard = assign_shards(weights, 4);
+  for (const std::uint64_t l : shard_loads(shard, weights, 4)) EXPECT_EQ(l, 10u);
+  EXPECT_EQ(shard, assign_shards(weights, 4));
   // One shard degenerates to all-zero.
-  for (const int s : assign_shards(sigs, 1)) EXPECT_EQ(s, 0);
+  for (const int s : assign_shards(weights, 1)) EXPECT_EQ(s, 0);
 }
 
-TEST(Conflict, OversizedComponentIsSplitForLoadBalance) {
-  // 40 groups chained into one component through a shared gate: keeping it
-  // atomic would put the entire round on one worker. It must be split
-  // evenly instead (replica isolation makes that safe).
-  std::vector<ConflictSignature> sigs(40);
-  for (int g = 0; g < 40; ++g) {
-    sigs[static_cast<std::size_t>(g)].touched = {0u, static_cast<GateId>(g + 1)};
-  }
-  const std::vector<int> shard = assign_shards(sigs, 4);
-  std::vector<int> count(4, 0);
-  for (const int s : shard) ++count[static_cast<std::size_t>(s)];
-  for (const int c : count) EXPECT_EQ(c, 10);
-  EXPECT_EQ(shard, assign_shards(sigs, 4));
-}
-
-// --- weight-balanced conflict sharding ---------------------------------------
-
-TEST(Conflict, WeightedSplitBalancesCandidateWeightNotGroupCount) {
-  // One oversized component (8 groups chained through gate 0) where group 0
-  // carries nearly all the probe weight. Count-based dealing would put 4
-  // groups — including the heavy one — on one shard (103 vs 4 probes, the
-  // c1908 skew in miniature). Weight-based dealing isolates the heavy group.
-  std::vector<ConflictSignature> sigs(8);
-  for (int g = 0; g < 8; ++g) {
-    sigs[static_cast<std::size_t>(g)].touched = {0u, static_cast<GateId>(g + 1)};
-  }
-  std::vector<std::uint64_t> weights = {100, 1, 1, 1, 1, 1, 1, 1};
-  const std::vector<int> shard = assign_shards(sigs, weights, 2);
+TEST(ShardAssignment, WeightedSplitBalancesCandidateWeightNotGroupCount) {
+  // Group 0 carries nearly all the probe weight. Count-based dealing would
+  // put 4 groups — including the heavy one — on one shard (103 vs 4
+  // probes, the c1908 skew in miniature). Weight-based dealing isolates
+  // the heavy group.
+  const std::vector<std::uint64_t> weights = {100, 1, 1, 1, 1, 1, 1, 1};
+  const std::vector<int> shard = assign_shards(weights, 2);
   for (int g = 2; g < 8; ++g) EXPECT_EQ(shard[static_cast<std::size_t>(g)], shard[1]);
   EXPECT_NE(shard[0], shard[1]);
-  std::vector<std::uint64_t> load(2, 0);
-  for (int g = 0; g < 8; ++g) {
-    load[static_cast<std::size_t>(shard[static_cast<std::size_t>(g)])] +=
-        weights[static_cast<std::size_t>(g)];
-  }
+  const std::vector<std::uint64_t> load = shard_loads(shard, weights, 2);
   EXPECT_EQ(std::max(load[0], load[1]), 100u);  // heavy group alone, not 103
   // Deterministic.
-  EXPECT_EQ(shard, assign_shards(sigs, weights, 2));
+  EXPECT_EQ(shard, assign_shards(weights, 2));
 }
 
-TEST(Conflict, WeightedAtomicComponentsLandOnLeastWeightedShard) {
-  // Four singleton components, one heavy. Dealing in group-index order onto
-  // the least-weighted shard must pack the three light ones opposite the
-  // heavy one instead of alternating by count.
-  std::vector<ConflictSignature> sigs(4);
-  for (int g = 0; g < 4; ++g) {
-    sigs[static_cast<std::size_t>(g)].touched = {static_cast<GateId>(10 * (g + 1))};
-  }
+TEST(ShardAssignment, WeightedAtomicComponentsLandOnLeastWeightedShard) {
+  // One heavy group first. Dealing in group-index order onto the
+  // least-weighted shard must pack the three light ones opposite the heavy
+  // one instead of alternating by count; ties go to the lowest shard.
   const std::vector<std::uint64_t> weights = {50, 1, 1, 1};
-  const std::vector<int> shard = assign_shards(sigs, weights, 2);
-  EXPECT_EQ(shard[1], shard[2]);
-  EXPECT_EQ(shard[2], shard[3]);
-  EXPECT_NE(shard[0], shard[1]);
-}
-
-TEST(Conflict, UnitWeightsReproduceCountBasedSharding) {
-  // The weighted rule with all-ones weights must reduce exactly to the
-  // historical count rule — including the 10/10/10/10 oversized split the
-  // older Conflict tests pin down.
-  std::vector<ConflictSignature> sigs(40);
-  for (int g = 0; g < 40; ++g) {
-    sigs[static_cast<std::size_t>(g)].touched = {0u, static_cast<GateId>(g + 1)};
-  }
-  const std::vector<std::uint64_t> ones(40, 1);
-  EXPECT_EQ(assign_shards(sigs, ones, 4), assign_shards(sigs, 4));
+  const std::vector<int> shard = assign_shards(weights, 2);
+  EXPECT_EQ(shard, (std::vector<int>{0, 1, 1, 1}));
 }
 
 // --- replica probing ---------------------------------------------------------
@@ -338,6 +239,7 @@ TEST(SchedulerDeterminism, RepeatedRunsAreIdentical) {
 struct ThreadRun {
   std::string blif;
   std::vector<std::pair<std::uint64_t, double>> commits;  // (move_id, gain)
+  std::vector<std::tuple<ProvenanceStage, std::uint64_t, double>> records;
   int chains = 0;
   OptimizerResult result;
 };
@@ -352,6 +254,7 @@ ThreadRun run_at_threads(const PreparedCircuit& prepared, const FlowOptions& bas
   std::string diag;
   out.chains = ProvenanceLog::instance().resolve_committed_chains(&diag);
   for (const ProvenanceRecord& rec : ProvenanceLog::instance().records()) {
+    out.records.emplace_back(rec.stage, rec.move_id, rec.gain);
     if (rec.stage == ProvenanceStage::Committed) {
       out.commits.emplace_back(rec.move_id, rec.gain);
     }
@@ -363,7 +266,7 @@ ThreadRun run_at_threads(const PreparedCircuit& prepared, const FlowOptions& bas
 }
 
 /// threads {2,4} against threads 1: byte-identical netlist, identical
-/// committed-move provenance chain, and identical work counters.
+/// provenance stream, and identical work and arbitration counters.
 void expect_thread_count_identity(const char* name, const PreparedCircuit& prepared,
                                   const FlowOptions& base) {
   const ThreadRun ref = run_at_threads(prepared, base, 1);
@@ -377,6 +280,10 @@ void expect_thread_count_identity(const char* name, const PreparedCircuit& prepa
     // coordinates (round/group/move), same live gains, same order.
     EXPECT_EQ(ref.commits, r.commits) << cfg;
     EXPECT_EQ(ref.chains, r.chains) << cfg;
+    // The whole decision stream, not only its commits: conflicts,
+    // re-validation rejects and fallbacks are decided on the serial
+    // arbitration path from worker-independent probe results.
+    EXPECT_EQ(ref.records, r.records) << cfg;
     EXPECT_EQ(ref.result.final_delay, r.result.final_delay) << cfg;
     // Every round is a barrier and each group's probes are a pure function
     // of the live state, so the work counters are thread-invariant too.
@@ -387,6 +294,11 @@ void expect_thread_count_identity(const char* name, const PreparedCircuit& prepa
     EXPECT_EQ(ref.result.candidates_enumerated, r.result.candidates_enumerated) << cfg;
     EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
     EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;
+    EXPECT_EQ(ref.result.sched_accepted, r.result.sched_accepted) << cfg;
+    EXPECT_EQ(ref.result.sched_conflicted, r.result.sched_conflicted) << cfg;
+    EXPECT_EQ(ref.result.sched_revalidation_rejects,
+              r.result.sched_revalidation_rejects)
+        << cfg;
   }
 }
 

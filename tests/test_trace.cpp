@@ -343,19 +343,27 @@ TEST(BenchDiff, ParseRuleRejectsGarbage) {
 TEST(BenchDiff, FlagsRegressionsPastThresholdOnly) {
   const std::string before = R"({"rate": {"probes_per_sec": 100.0},
                                  "time": {"probe_s": 10.0},
-                                 "counters": {"committed": 5}})";
+                                 "counters": {"committed": 5, "conflicted": 0}})";
   const std::string after = R"({"rate": {"probes_per_sec": 50.0},
                                 "time": {"probe_s": 10.5},
-                                "counters": {"committed": 5},
+                                "counters": {"committed": 5, "conflicted": 99},
                                 "counters2": {"brand_new": 1}})";
   std::vector<DiffRule> rules;
   rules.push_back(parse_diff_rule("rate.*=40", /*above=*/false));  // -50% > 40% drop
   rules.push_back(parse_diff_rule("time.*=10", /*above=*/true));   // +5% < 10% ok
+  rules.push_back(parse_diff_rule("counters.*=0", /*above=*/true));  // 0 -> 99 fails
   const DiffReport report = diff_metrics_json(before, after, rules);
-  EXPECT_EQ(report.violations, 1);
+  EXPECT_EQ(report.violations, 2);
   // New keys are reported, never failed.
   bool saw_new = false;
   for (const DiffEntry& e : report.entries) {
+    // A zero baseline does not exempt a key from its rules.
+    if (e.key == "counters.conflicted") {
+      EXPECT_EQ(e.violated_rule, 2);
+    }
+    if (e.key == "counters.committed") {
+      EXPECT_EQ(e.violated_rule, -1);
+    }
     if (e.key == "counters2.brand_new") {
       saw_new = true;
       EXPECT_FALSE(e.in_before);
@@ -478,8 +486,9 @@ TEST(TraceDeterminismSlow, MetricsSnapshotIsWorkerCountInvariantOnCounters) {
   // counts.
   for (const char* key :
        {"engine.swaps_committed", "engine.resizes_committed",
-        "scheduler.rounds", "scheduler.committed", "engine.iterations",
-        "engine.probes", "engine.candidates_enumerated"}) {
+        "scheduler.rounds", "scheduler.committed", "scheduler.accepted",
+        "scheduler.conflicted", "scheduler.revalidation_rejects",
+        "engine.iterations", "engine.probes", "engine.candidates_enumerated"}) {
     EXPECT_EQ(m1.counter(key), m4.counter(key)) << key;
   }
   // The committed-gain distribution is part of the deterministic output.
