@@ -16,6 +16,7 @@
 //   throughput at N workers over the same candidates, so the report records
 //   serial and parallel throughput against the same baseline (N=0 skips;
 //   default 2). bench/parallel_scaling sweeps thread counts in depth.
+// The report opens with the shared `env` header (bench/bench_env.hpp).
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "engine/rewire_engine.hpp"
 #include "gen/suite.hpp"
 #include "library/cell_library.hpp"
@@ -205,8 +207,9 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"micro_engine\",\n  \"unit\": \"ops/sec\",\n"
-       << "  \"circuits\": [\n";
+  json << "{\n  \"bench\": \"micro_engine\",\n";
+  bench::write_env(json);
+  json << "  \"unit\": \"ops/sec\",\n  \"circuits\": [\n";
   double geo_probe = 1.0, geo_ratio = 1.0;
   int n_ratio = 0, n_probe = 0;
   for (std::size_t i = 0; i < reports.size(); ++i) {

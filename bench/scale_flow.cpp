@@ -16,6 +16,8 @@
 //     slack-margin damp cutoff rate (the probe-cost story),
 //   - the phase-timing breakdown (setup/probe/arbitrate/commit/sync).
 //
+// The report opens with the shared `env` header (bench/bench_env.hpp).
+//
 // The acceptance gauge is the growth ratio of the per-commit quantities
 // from the smallest to the largest size point: O(dirty) costs stay
 // roughly flat (<= 2x) while the network grows 20x. The bench FAILS
@@ -31,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_env.hpp"
 #include "flow/flow.hpp"
 #include "gen/large.hpp"
 #include "library/cell_library.hpp"
@@ -223,8 +226,9 @@ int main(int argc, char** argv) {
   }
 
   std::ostringstream json;
-  json << "{\n  \"bench\": \"scale_flow\",\n"
-       << "  \"threads\": " << threads << ",\n"
+  json << "{\n  \"bench\": \"scale_flow\",\n";
+  bench::write_env(json);
+  json << "  \"threads\": " << threads << ",\n"
        << "  \"iters\": " << iters << ",\n"
        << "  \"seed\": " << seed << ",\n"
        << "  \"network_size_growth\": " << size_growth << ",\n"
