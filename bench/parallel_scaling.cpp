@@ -195,6 +195,9 @@ CircuitReport measure(const std::string& name, const CellLibrary& lib,
 
     ThreadPoint pt;
     pt.threads = threads;
+    // As the optimizer does before each round: threads 1 probes the live
+    // engine, damped only with fresh margins.
+    engine.refresh_timing_margins();
 
     // Probe throughput: repeated probe-only rounds on the pristine state
     // (no commits, so replicas stay synced after the first round).

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
+#include "opt/slack_gate.hpp"
 #include "parallel/scheduler.hpp"
 #include "rewire/swap.hpp"
 #include "session/session.hpp"
@@ -13,6 +14,7 @@
 #include "sym/gisg.hpp"
 #include "sym/symmetry.hpp"
 #include "trace/trace.hpp"
+#include "util/assert.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
 
@@ -48,7 +50,11 @@ class Optimizer {
   Optimizer(Network& net, Placement& pl, const CellLibrary& lib, Sta& sta,
             const OptimizerOptions& options)
       : net_(net), lib_(lib), sta_(sta), engine_(net, pl, lib, sta),
-        scheduler_(engine_, scheduler_options(options)), options_(options) {
+        scheduler_(engine_, scheduler_options(options)), options_(options),
+        gate_(net, sta) {
+    // Slack gating skips moves that cannot lower any PO arrival, i.e. moves
+    // whose gain is at most 0; that is exact only while no gain <= 0 wins.
+    RAPIDS_ASSERT_MSG(options.min_gain >= 0.0, "min_gain must be non-negative");
     // The live engine records into the run's session (replica engines are
     // wired by the scheduler's probe contexts).
     engine_.set_session(options.session);
@@ -135,7 +141,9 @@ class Optimizer {
     result.swaps_committed = stats.swaps_committed;
     result.resizes_committed = stats.resizes_committed;
     result.inverters_added = stats.inverters_added;
-    result.probes = stats.probes;
+    // Self-check's gating oracle probes on the live engine; those probes
+    // are reference work, not the optimizer's, and are not reported.
+    result.probes = stats.probes - oracle_probes_;
     if (engine_.paranoid()) {
       result.moves_proved =
           engine_.paranoid_moves_checked() - engine_.paranoid_inconclusive();
@@ -165,7 +173,7 @@ class Optimizer {
     result.seconds_arbitrate = sched.seconds_arbitrate;
     result.seconds_commit = sched.seconds_commit;
     result.seconds_sync = sched.sync.seconds;
-    result.seconds_timing = sched.seconds_timing;
+    result.seconds_timing = seconds_margins_ + sched.seconds_timing;
     result.gates_propagated = stats.gates_propagated;
     result.damp_cutoffs = stats.damp_cutoffs;
     result.damp_fallbacks = stats.damp_fallbacks;
@@ -189,7 +197,8 @@ class Optimizer {
 
     // Phase accounting self-check: setup + groups + probe + arbitrate +
     // commit + finalize should cover the whole run (sync is a subset of
-    // probe and deliberately excluded). Whatever is left is loop overhead —
+    // probe, and margin refreshes a subset of groups and probe, so neither
+    // is added). Whatever is left is loop overhead —
     // warn when it stops being noise, because an unattributed phase is
     // exactly what this breakdown exists to prevent.
     const double attributed = result.seconds_setup + result.seconds_groups +
@@ -230,9 +239,48 @@ class Optimizer {
   /// Drop the last pooled group (it stayed empty).
   void discard_group() { --groups_used_; }
 
+  /// Refresh the live engine's damping margins (a no-op while still
+  /// valid). They serve two readers: slack gating below, and the damped
+  /// probes of the threads-1 path and of arbitration.
+  void refresh_margins() {
+    const Timer margin_timer;
+    engine_.refresh_timing_margins();
+    seconds_margins_ += margin_timer.seconds();
+  }
+
+  // --- slack gating (opt/slack_gate.hpp) ----------------------------------
+  //
+  // Cold supergates, swaps and resize groups are dropped before probing.
+  // Dropping keeps the relative order of the rest, so the arbiter's
+  // (gain, group) order and every commit are those of probing everything.
+
+  /// Self-check reference for one gated move: probed live, it must not
+  /// lower either objective below the current (round-baseline) state.
+  void check_gated_move(const EngineMove& move, GateId at) {
+    ++oracle_probes_;
+    const EngineObjective obj = engine_.probe(move);
+    if (obj.critical >= sta_.critical_delay() && obj.sum_po >= sta_.sum_po_arrival()) {
+      return;
+    }
+    throw InternalError("self-check: slack gating skipped a move at " + net_.name(at) +
+                        " that lowers the critical delay or the PO arrival sum");
+  }
+
+  /// Append the hot moves of `from` to `to`, in order.
+  void keep_hot_swaps(const std::vector<EngineMove>& from, std::vector<EngineMove>& to) {
+    for (const EngineMove& m : from) {
+      if (gate_.swap_hot(m.swap_cand)) {
+        to.push_back(m);
+      } else if (options_.self_check) {
+        check_gated_move(m, m.swap_cand.pin_a.gate);
+      }
+    }
+  }
+
   std::span<const ProbeGroup> build_groups() {
     const Timer groups_timer;
     TraceSpan groups_span(tracer(), "opt", "build_groups");
+    refresh_margins();
     groups_used_ = 0;
     const bool want_swaps = options_.mode != OptMode::GateSizing;
     const bool want_resizes = options_.mode != OptMode::Gsg;
@@ -262,6 +310,15 @@ class Optimizer {
       for (const std::size_t s : slot_order_) {
         const SuperGate& sg = part.sgs[s];
         for (const GateId g : sg.covered) covered_nontrivial_[g] = 1;
+        if (!gate_.slot_hot(sg)) {
+          // Neither enumerated nor cached: its cache entry, if any, is
+          // judged by the usual validity rule once the slot turns hot.
+          if (options_.self_check) {
+            swap_moves(part, s, recheck_moves_);
+            for (const EngineMove& m : recheck_moves_) check_gated_move(m, sg.root);
+          }
+          continue;
+        }
         SwapGroupCache& entry = swap_cache_[s];
         // Clean slot: the supergate — and therefore its feasible swap set —
         // is untouched since the moves were enumerated. An arrival-gap-
@@ -275,19 +332,19 @@ class Optimizer {
         if (cache_ok) {
           if (options_.self_check) check_cached_moves(part, s, entry);
           if (entry.pruned) ++pruned_cache_hits_;
-          // A cached EMPTY list never becomes a group, so not counted reused.
-          if (entry.moves.empty()) continue;
-          next_group().moves = entry.moves;
-          ++groups_reused_;
         } else {
-          ProbeGroup& group = next_group();
-          const std::size_t candidates = swap_moves(part, s, group.moves);
+          const std::size_t candidates = swap_moves(part, s, entry.moves);
           candidates_enumerated_ += candidates;
           entry.pruned = candidates > static_cast<std::size_t>(options_.max_swaps_per_sg);
-          entry.moves = group.moves;
           entry.generation = sg.generation;
           entry.timing_epoch = sta_.timing_epoch();
-          if (group.moves.empty()) discard_group();
+        }
+        ProbeGroup& group = next_group();
+        keep_hot_swaps(entry.moves, group.moves);
+        if (group.moves.empty()) {
+          discard_group();
+        } else if (cache_ok) {
+          ++groups_reused_;
         }
       }
     }
@@ -296,6 +353,14 @@ class Optimizer {
         if (!is_logic(net_.type(g)) || net_.cell(g) < 0) continue;
         // gsg+GS sizes only gates NOT covered by a non-trivial supergate.
         if (options_.mode == OptMode::GsgPlusGS && covered_nontrivial_[g]) continue;
+        if (!gate_.resize_hot(g)) {
+          if (options_.self_check) {
+            for (const int cell : resize_candidates(net_, lib_, g)) {
+              check_gated_move(EngineMove::resize(g, cell), g);
+            }
+          }
+          continue;
+        }
         ProbeGroup& group = next_group();
         for (const int cell : resize_candidates(net_, lib_, g)) {
           group.moves.push_back(EngineMove::resize(g, cell));
@@ -388,6 +453,9 @@ class Optimizer {
   void phase_area_recovery() {
     TraceSpan phase_span(tracer(), "opt", "area_recovery");
     const Timer groups_timer;
+    // FirstFit spends slack rather than seeking a PO decrease, so it is
+    // not gated; the margins only serve its damped probes.
+    refresh_margins();
     groups_used_ = 0;
     covered_nontrivial_.assign(net_.id_bound(), 0);
     if (options_.mode == OptMode::GsgPlusGS) {
@@ -427,9 +495,12 @@ class Optimizer {
   RewireEngine engine_;
   ParallelRewireScheduler scheduler_;
   OptimizerOptions options_;
+  SlackGate gate_;
 
   std::vector<SwapGroupCache> swap_cache_;
   double seconds_groups_ = 0.0;
+  double seconds_margins_ = 0.0;    // live margin refreshes (inside groups)
+  std::uint64_t oracle_probes_ = 0;  // self-check's gating probes, not reported
   std::uint64_t groups_reused_ = 0;
   std::uint64_t pruned_cache_hits_ = 0;
   std::uint64_t candidates_enumerated_ = 0;

@@ -14,6 +14,16 @@
 // arrival at the outputs without degrading the critical delay, to escape
 // local minima. Phases iterate until no improvement.
 //
+// Both phases need some primary-output arrival to fall, which a move can
+// only cause by touching a gate on that output's max-arrival path (float
+// max and + are monotone, so an untouched max path holds its output at or
+// above its old arrival). Before each round the damping margins are
+// refreshed and mark those gates hot; supergates, swaps and resize groups
+// that touch no hot gate are never probed (slack gating). Dropping them
+// keeps the order of the rest, so the committed moves are exactly those of
+// probing everything; `self_check` probes every gated move to prove it.
+// Area recovery (FirstFit) spends slack instead and is not gated.
+//
 // Every phase is a generate -> shard -> parallel-probe -> arbitrate ->
 // commit round through the ParallelRewireScheduler (src/parallel): probe
 // evaluation fans out across `threads` weight-sharded workers, and the
@@ -69,10 +79,12 @@ struct OptimizerOptions {
   /// Run every fast path beside its reference and throw InternalError
   /// ("self-check: ...") on any disagreement: incremental GISG extraction
   /// vs a fresh full extraction after every update; every swap list served
-  /// from the per-slot cache vs re-enumeration; damped probe timing vs an
-  /// undamped replay; and (paranoid) the proof session vs a per-move
-  /// window solver. Replica delta sync is checked at flow level by threads
-  /// 1 vs N identity. The netlist is unchanged; only time grows.
+  /// from the per-slot cache vs re-enumeration; every move slack gating
+  /// skips vs a live probe that must not lower either objective; damped
+  /// probe timing vs an undamped replay; and (paranoid) the proof session
+  /// vs a per-move window solver. Replica delta sync is checked at flow
+  /// level by threads 1 vs N identity. The netlist is unchanged; only time
+  /// grows.
   bool self_check = false;
   /// The caller just ran sta.run_full() against this exact network state
   /// (the flow driver does): skip the optimizer's own initial full pass.
@@ -139,7 +151,10 @@ struct OptimizerResult {
   double seconds_arbitrate = 0.0;
   double seconds_commit = 0.0;
   double seconds_sync = 0.0;
-  /// Damping-margin refresh time (a subset of probe wall time, like sync).
+  /// Damping-margin refresh time, added to no phase: the live engine's
+  /// refreshes run inside group building (seconds_groups, where slack
+  /// gating reads them) and the replicas' inside probe (seconds_probe,
+  /// summed over workers).
   double seconds_timing = 0.0;
   /// Propagation-shape counters (merged across live engine + replicas):
   /// worklist pops across every probe/commit propagation, pops suppressed by
@@ -187,9 +202,10 @@ struct OptimizerResult {
   Histogram gain_hist;
   Histogram proof_conflict_hist;
   /// Remaining phase buckets so `phases:` sums to `seconds`: group building
-  /// (candidate generation incl. swap-cache fills), finalize (post-loop
-  /// cleanup + final STA), and whatever is left over. The optimizer warns
-  /// if unattributed time exceeds 5% of the total.
+  /// (live margin refresh, slack gating and candidate generation incl.
+  /// swap-cache fills), finalize (post-loop cleanup + final STA), and
+  /// whatever is left over. The optimizer warns if unattributed time
+  /// exceeds 5% of the total.
   double seconds_groups = 0.0;
   double seconds_finalize = 0.0;
   double seconds_unattributed = 0.0;

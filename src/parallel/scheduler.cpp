@@ -143,16 +143,11 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   TraceSpan round_span(session_->tracer(), "probe", "probe_round");
   round_span.set_arg("groups", static_cast<std::int64_t>(groups.size()));
 
-  // Refresh the live engine's damping margins at ROUND granularity (no-op
-  // while they are still valid): the serial fast path
-  // probes the live engine, and arbitration's re-validation probes reuse
-  // them until the round's first commit invalidates. seconds_timing is a
-  // quoted subset of this round's probe time.
-  {
-    const Timer margin_timer;
-    engine_.refresh_timing_margins();
-    stats_.seconds_timing += margin_timer.seconds();
-  }
+  // The live engine's damping margins are the caller's to refresh (the
+  // optimizer does so while building the round's groups, which reads them):
+  // the serial fast path probes the live engine, and arbitration's
+  // re-validation probes reuse them until the round's first commit
+  // invalidates. Probes are exact either way; stale margins only undamp.
 
   const double base_critical = engine_.sta().critical_delay();
   const double base_sum = engine_.sta().sum_po_arrival();

@@ -118,8 +118,8 @@ struct SchedulerStats {
   // Phase wall times: probe_round (worker fan-out incl. replica sync),
   // arbitration overhead, and live commits (disjoint — arbitrate excludes
   // the commit time). Replica sync cost is broken out in `sync`;
-  // seconds_timing is the damping-margin refresh time, a quoted SUBSET of
-  // seconds_probe (refreshes run inside the probe phase).
+  // seconds_timing is the replicas' damping-margin refresh time, a quoted
+  // SUBSET of seconds_probe (the live engine's margins are the caller's).
   double seconds_probe = 0.0;
   double seconds_arbitrate = 0.0;
   double seconds_commit = 0.0;
@@ -145,7 +145,10 @@ class ParallelRewireScheduler {
   /// Shard `groups` by probe weight and probe them in parallel against the
   /// live state. Returns one result per group, indexed like `groups`,
   /// independent of worker count. (Spans accept plain vectors; the
-  /// optimizer passes its pooled group storage without copying.)
+  /// optimizer passes its pooled group storage without copying.) Replicas
+  /// refresh their own damping margins; refresh the live engine's
+  /// (RewireEngine::refresh_timing_margins) before the round for damped
+  /// live probes.
   std::vector<GroupResult> probe_round(std::span<const ProbeGroup> groups,
                                        ProbePolicy policy, double threshold);
 

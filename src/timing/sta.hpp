@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -161,6 +162,17 @@ class Sta {
   /// round granularity, never per-probe.
   void refresh_damping_margins();
   bool margins_valid() const { return margins_valid_; }
+  /// Gate g's PO-seeded ceiling from the last refresh_damping_margins()
+  /// (meaningful only while margins_valid()). A gate whose arrival reaches
+  /// its ceiling in either transition lies on, or within the guard of, some
+  /// primary output's max-arrival path. Ids minted after the refresh read
+  /// -inf, which every arrival reaches.
+  RiseFall damping_ceiling(GateId g) const {
+    return g < req_damp_.size()
+               ? req_damp_[g]
+               : RiseFall{-std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+  }
 
   /// Propagation-shape counters (monotonic, accumulated across the Sta's
   /// lifetime): worklist pops, margin suppressions, PO-decrease fallbacks,

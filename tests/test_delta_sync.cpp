@@ -336,6 +336,9 @@ TEST(DeltaSyncFlowSlow, PruneCacheOnOffProduceIdenticalNetlists) {
   ASSERT_NO_THROW(on = run_mode(prepared, lib035(), OptMode::GsgPlusGS, checked));
   EXPECT_GT(on.result.pruned_groups_cached, 0u);
   EXPECT_EQ(on.result.pruned_groups_cached, plain.result.pruned_groups_cached);
+  // Self-check also probes every move slack gating skips; those reference
+  // probes are not the optimizer's and stay out of `probes`.
+  EXPECT_EQ(on.result.probes, plain.result.probes);
   EXPECT_EQ(on.result.final_delay, plain.result.final_delay);
   EXPECT_EQ(blif_of(on.optimized), blif_of(plain.optimized));
 }
