@@ -67,13 +67,24 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
     }
     // Every round is a barrier and each group's probe count is a pure
     // function of the live state, so the probe total is thread-invariant
-    // too. (gates_propagated is not: each replica refreshes its damping
-    // margins at its own sync points, which moves the cutoff depth.)
-    if (threads > 1 && serial.result.probes != parallel.result.probes) {
-      return "determinism: threads=1 and threads=" + std::to_string(threads) +
-             " probed different move counts (" +
-             std::to_string(serial.result.probes) + " vs " +
-             std::to_string(parallel.result.probes) + ")";
+    // too, and so is the propagation shape: replicas probe on freshly
+    // refreshed levels and margins, as the live engine does.
+    struct Count {
+      const char* what;
+      std::uint64_t serial, parallel;
+    };
+    for (const Count& c :
+         {Count{"probe counts", serial.result.probes, parallel.result.probes},
+          Count{"gates_propagated", serial.result.gates_propagated,
+                parallel.result.gates_propagated},
+          Count{"damp_cutoffs", serial.result.damp_cutoffs, parallel.result.damp_cutoffs},
+          Count{"damp_fallbacks", serial.result.damp_fallbacks,
+                parallel.result.damp_fallbacks}}) {
+      if (threads > 1 && c.serial != c.parallel) {
+        return "determinism: threads=1 and threads=" + std::to_string(threads) +
+               " reported different " + c.what + " (" + std::to_string(c.serial) +
+               " vs " + std::to_string(c.parallel) + ")";
+      }
     }
 
     if (paranoid_diff) {

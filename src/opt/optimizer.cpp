@@ -200,13 +200,17 @@ class Optimizer {
     // probe, and margin refreshes a subset of groups and probe, so neither
     // is added). Whatever is left is loop overhead —
     // warn when it stops being noise, because an unattributed phase is
-    // exactly what this breakdown exists to prevent.
+    // exactly what this breakdown exists to prevent. The absolute floor
+    // keeps microsecond runs, where timer overhead alone is a few percent,
+    // from warning.
+    constexpr double kUnattributedFloorS = 1e-3;
     const double attributed = result.seconds_setup + result.seconds_groups +
                               result.seconds_probe + result.seconds_arbitrate +
                               result.seconds_commit + result.seconds_finalize;
     result.seconds_unattributed = std::max(0.0, result.seconds - attributed);
     if (result.seconds > 0.0 &&
-        result.seconds_unattributed > 0.05 * result.seconds) {
+        result.seconds_unattributed > 0.05 * result.seconds &&
+        result.seconds_unattributed > kUnattributedFloorS) {
       log_warn() << "phase accounting: " << result.seconds_unattributed
                  << " s of " << result.seconds
                  << " s optimize time unattributed (> 5%) — a phase is "

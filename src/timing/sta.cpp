@@ -1,6 +1,7 @@
 #include "timing/sta.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -11,6 +12,11 @@ namespace rapids {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// level_ of an id that was not a live gate when levels were last computed:
+// a tombstone, or a slot grown since. An id minted mid-transaction reads
+// this whether it was recycled or grown, so a probe's worklist order and
+// damping never depend on which of the two the id allocator chose.
+constexpr int kUnlevelled = std::numeric_limits<int>::max();
 
 // Propagation terminates on BIT-EXACT equality: recompute_arrival is a pure
 // function of fanin arrivals and delays, so gates outside the true
@@ -57,8 +63,11 @@ void Sta::copy_state_from(const Sta& other) {
   state_version_ = other.state_version_;
   timing_epoch_ = other.timing_epoch_;
   arrival_stamp_ = other.arrival_stamp_;
+  level_ = other.level_;
+  size_worklist(other.buckets_.size());
   const std::size_t n = net_.id_bound();
   net_dirty_.assign(n, false);
+  queued_.assign(n, 0);
   arrival_saved_.assign(n, false);
   net_saved_.assign(n, false);
   saved_arrivals_.clear();
@@ -138,6 +147,7 @@ void Sta::run_full() {
   arrival_.assign(n, RiseFall{});
   required_.assign(n, RiseFall{});
   net_dirty_.assign(n, false);
+  queued_.assign(n, 0);
   arrival_saved_.assign(n, false);
   net_saved_.assign(n, false);
   pin_stride_ = 1;
@@ -148,9 +158,16 @@ void Sta::run_full() {
   net_.for_each_gate([&](GateId g) {
     if (net_.fanout_count(g) > 0) rebuild_net(g);
   });
+  // Forward levels ride the same topological walk: propagate() orders its
+  // worklist by them, so they must exist before the first transaction.
+  level_.assign(n, kUnlevelled);
+  int max_level = 0;
   for (const GateId g : topological_order(net_)) {
     recompute_arrival(g, arrival_[g]);
+    level_[g] = forward_level(g);
+    max_level = std::max(max_level, level_[g]);
   }
+  size_worklist(2 * static_cast<std::size_t>(max_level) + 3);
   critical_delay_ = recompute_critical();
   required_valid_ = false;
   margins_valid_ = false;
@@ -292,22 +309,51 @@ void Sta::grow() {
   arrival_.resize(n);
   required_.resize(n);
   net_dirty_.resize(n, false);
+  queued_.resize(n, 0);
   arrival_saved_.resize(n, false);
   net_saved_.resize(n, false);
   arrival_stamp_.resize(n, timing_epoch_);
   pin_delay_.resize(n * pin_stride_, 0.0);
-  if (!level_.empty()) {
-    // Slots minted after the last margin refresh must never be suppressed:
-    // a -inf ceiling fails the fresh <= req_damp test, and a +inf level
-    // disables damping for any transaction that seeds through them.
-    level_.resize(n, std::numeric_limits<int>::max());
-    req_damp_.resize(n, RiseFall{-kInf, -kInf});
+  // Slots minted after the last level computation must never be
+  // suppressed: a -inf ceiling fails the fresh <= req_damp test.
+  level_.resize(n, kUnlevelled);
+  req_damp_.resize(n, RiseFall{-kInf, -kInf});
+}
+
+int Sta::forward_level(GateId g) const {
+  int lv = 0;
+  for (const GateId f : net_.fanins(g)) lv = std::max(lv, level_[f] + 1);
+  return lv;
+}
+
+void Sta::size_worklist(std::size_t num_buckets) {
+  buckets_.resize(num_buckets);
+  occupied_.assign((num_buckets + 63) / 64, 0);
+}
+
+std::size_t Sta::worklist_bucket(GateId g) const {
+  const std::size_t last = buckets_.size() - 1;
+  const auto level_of = [&](GateId h) { return h < level_.size() ? level_[h] : kUnlevelled; };
+  if (level_of(g) != kUnlevelled) return 2 * static_cast<std::size_t>(level_of(g));
+  // Minted in this transaction (an inserted inverter): the odd bucket right
+  // after its deepest fanin's, so it settles after its driver and before
+  // the next level, and shares a bucket with no levelled gate. (Were it
+  // filed last instead, its sinks would be recomputed twice.)
+  int lv = 0;
+  for (const GateId f : net_.fanins(g)) {
+    if (level_of(f) == kUnlevelled) return last;
+    lv = std::max(lv, level_of(f));
   }
+  return 2 * static_cast<std::size_t>(lv) + 1;
 }
 
 void Sta::note_dirty_level(GateId g) {
-  const int lv = g < level_.size() ? level_[g] : std::numeric_limits<int>::max();
-  txn_max_dirty_level_ = std::max(txn_max_dirty_level_, lv);
+  // While margins are valid, an unlevelled seed is a gate minted in this
+  // transaction (an inserted inverter). Every new path through it starts at
+  // a driver whose net gained the sink, so that driver's invalidate_net
+  // already records the level that guards everything upstream.
+  const int lv = g < level_.size() ? level_[g] : kUnlevelled;
+  if (lv != kUnlevelled) txn_max_dirty_level_ = std::max(txn_max_dirty_level_, lv);
 }
 
 void Sta::invalidate_net(GateId driver) {
@@ -332,28 +378,71 @@ void Sta::touch_gate(GateId g) {
 
 void Sta::propagate() {
   RAPIDS_ASSERT(in_txn_);
+  RAPIDS_ASSERT_MSG(!buckets_.empty(), "propagate before run_full/copy_state_from");
   // Worklist relaxation to the fixed point. Seeds are recomputed
   // unconditionally; a gate's fanouts are pushed when its arrival changed
   // (or its net RC changed, which shifts wire delay at the sinks). The
-  // worklist is a member scratch vector drained by index: FIFO order
-  // without per-call allocation.
-  queue_.clear();
+  // worklist is bucketed by forward level (see worklist_bucket) and drained
+  // one whole bucket at a time, lowest first; queued_ keeps a gate in at
+  // most one bucket. With levels that match the topology, every fanin of a
+  // gate is final before its bucket is drained, so each gate is recomputed
+  // once per drain, whatever order a bucket holds. Levels go stale between
+  // a committed rewiring and the next run_full / margin refresh, and inside
+  // a transaction that rewires pins: a push into the current or a lower
+  // bucket is then drained in a later round, which costs pops but never
+  // the fixed point. The buckets are member scratch, so a probe allocates
+  // nothing, and the occupancy bitmap finds the next non-empty bucket
+  // without walking the empty ones.
   deferred_.clear();
+  std::size_t lo = buckets_.size();  // no bucket below lo is occupied
   auto push = [&](GateId g) {
-    if (net_.is_deleted(g)) return;
-    queue_.push_back(g);
+    if (queued_[g]) return;
+    queued_[g] = 1;
+    const std::size_t b = worklist_bucket(g);
+    buckets_[b].push_back(g);
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+    lo = std::min(lo, b);
   };
-  for (const GateId s : seeds_) push(s);
+  const auto lowest_occupied = [&] {
+    for (std::size_t w = lo / 64; w < occupied_.size(); ++w) {
+      if (occupied_[w] != 0) return w * 64 + std::countr_zero(occupied_[w]);
+    }
+    return buckets_.size();
+  };
+  // The next gate to recompute: the rest of the current bucket, else the
+  // lowest occupied bucket, taken whole. A push into a taken bucket (stale
+  // levels only) refills it for a later round. Gate-id order makes the pops
+  // a function of the bucket's contents, not of the fanout-list order that
+  // filled it, which can differ between the live network and a replica:
+  // with stale levels the pop count depends on the order.
+  std::size_t next = 0;  // batch_[next..] is still to be recomputed
+  const auto pop = [&](GateId& g) {
+    if (next == batch_.size()) {
+      batch_.clear();
+      next = 0;
+      if ((lo = lowest_occupied()) == buckets_.size()) return false;
+      batch_.swap(buckets_[lo]);
+      occupied_[lo / 64] &= ~(std::uint64_t{1} << (lo % 64));
+      if (batch_.size() > 1) std::sort(batch_.begin(), batch_.end());
+    }
+    g = batch_[next++];
+    queued_[g] = 0;
+    return true;
+  };
+  // Only a seed can be a deleted gate (an edit may touch a gate it then
+  // removed); every sink of a live gate is live.
+  for (const GateId s : seeds_) {
+    if (!net_.is_deleted(s)) push(s);
+  }
   seeds_.clear();
 
-  std::size_t head = 0;
   std::size_t iterations = 0;
   const std::size_t hard_cap = 64 * (net_.num_gates() + 16);
   bool po_decreased = false;
   const auto drain = [&](bool damp) {
-    while (head < queue_.size()) {
+    GateId g = kNullGate;
+    while (pop(g)) {
       RAPIDS_ASSERT_MSG(++iterations < hard_cap, "STA propagation did not converge");
-      const GateId g = queue_[head++];
       ++gates_propagated_;
       RiseFall fresh;
       recompute_arrival(g, fresh);
@@ -507,6 +596,7 @@ std::size_t Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_i
     arrival_.resize(n);
     required_.resize(n);
     net_dirty_.resize(n, false);
+    queued_.resize(n, 0);
     arrival_saved_.resize(n, false);
     net_saved_.resize(n, false);
     arrival_stamp_.resize(n, timing_epoch_);
@@ -586,14 +676,15 @@ void Sta::refresh_damping_margins() {
   // lets an Output share its driver's level): the damping guard needs
   // level(u) < level(v) for EVERY edge u→v so "no seed at level >= mine"
   // implies "no seed strictly downstream of me".
-  level_.assign(n, 0);
+  // Refreshing them here also re-tightens the worklist order after the
+  // commits since the last computation.
+  level_.assign(n, kUnlevelled);
+  int max_level = 0;
   for (const GateId g : topological_order(net_)) {
-    int lv = 0;
-    for (const GateId f : net_.fanins(g)) {
-      lv = std::max(lv, level_[f] + 1);
-    }
-    level_[g] = lv;
+    level_[g] = forward_level(g);
+    max_level = std::max(max_level, level_[g]);
   }
+  size_worklist(2 * static_cast<std::size_t>(max_level) + 3);
   // PO-seeded ceiling: the same backward recurrence as refresh_required,
   // but each primary output anchors at its OWN current arrival, so
   //   req_damp(g) = min over g→PO paths of (arrival(PO) − path delay).
@@ -607,7 +698,10 @@ void Sta::refresh_damping_margins() {
   // while staying far below real slack margins, and self-check (damp-diff)
   // bit-checks the resulting exactness on every damped propagation.
   constexpr double kDampGuard = 1e-6;
-  req_damp_.assign(n, RiseFall{kInf, kInf});
+  // Tombstones keep the -inf never-suppress sentinel that grow() gives
+  // fresh slots, so a recycled id minted mid-transaction damps exactly like
+  // a grown one.
+  req_damp_.assign(n, RiseFall{-kInf, -kInf});
   for (const GateId po : net_.primary_outputs()) {
     req_damp_[po] = RiseFall{arrival_[po].rise - kDampGuard,
                              arrival_[po].fall - kDampGuard};
@@ -615,7 +709,7 @@ void Sta::refresh_damping_margins() {
   for (const GateId g : reverse_topological_order(net_)) {
     const GateType t = net_.type(g);
     if (t == GateType::Output) continue;
-    RiseFall req = req_damp_[g];
+    RiseFall req{kInf, kInf};
     for (const Pin& pin : net_.fanouts(g)) {
       const GateId h = pin.gate;
       const double wire = pin_delay_[pin.gate * pin_stride_ + pin.index];

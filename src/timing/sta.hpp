@@ -56,11 +56,12 @@ class Sta {
   /// recompute, guarantees the replica starts from bit-identical timing.
   void copy_state_from(const Sta& other);
 
-  /// Full recompute of net caches, arrivals, required times and slacks.
-  /// Also sizes the flat per-pin delay cache to the network's CURRENT
-  /// maximum fanin count: incremental updates assert if a later mutation
-  /// gives any gate more fanins than that bound — rerun run_full() after
-  /// pin-count-growing edits (rewiring moves never grow pin counts).
+  /// Full recompute of net caches, arrivals, forward levels, required
+  /// times and slacks. Also sizes the flat per-pin delay cache to the
+  /// network's CURRENT maximum fanin count: incremental updates assert if
+  /// a later mutation gives any gate more fanins than that bound — rerun
+  /// run_full() after pin-count-growing edits (rewiring moves never grow
+  /// pin counts).
   void run_full();
 
   // --- results ------------------------------------------------------------
@@ -101,8 +102,9 @@ class Sta {
   /// net delay changes; fanin nets must be invalidated separately when pin
   /// caps changed.
   void touch_gate(GateId g);
-  /// Re-evaluate arrivals from all dirty seeds until the fixed point.
-  /// Updates critical_delay(). Required times/slacks become stale.
+  /// Re-evaluate arrivals from all dirty seeds until the fixed point, in
+  /// forward-level order (see the bounded-cone notes below). Updates
+  /// critical_delay(). Required times/slacks become stale.
   void propagate();
   /// Discard the transaction: restore arrivals, net caches, critical delay.
   void rollback();
@@ -116,8 +118,12 @@ class Sta {
 
   // --- bounded-cone damped propagation -------------------------------------
   //
-  // Two objective-exact cut-offs keep probe cost proportional to the real
-  // timing disturbance instead of the structural fanout cone:
+  // The worklist pops gates in forward-level order (levels from run_full,
+  // refreshed by refresh_damping_margins), deduplicated per gate, so with
+  // current levels each gate of the disturbance cone is recomputed once,
+  // after all of its fanins are final. Two objective-exact cut-offs then
+  // keep probe cost proportional to the real timing disturbance instead of
+  // the structural fanout cone:
   //
   //  1. Exact termination (always on): a popped gate whose recomputed
   //     arrival is BIT-IDENTICAL to the stored value drops out of the
@@ -137,11 +143,12 @@ class Sta {
   //     the worklist defers it instead of storing/propagating. Soundness
   //     holds within a transaction via a forward-level guard (no dirty
   //     seed may sit downstream of a suppressed gate, since in-txn delay
-  //     edits invalidate the refresh-time path delays) and a PO-decrease
-  //     fallback (if the same transaction LOWERS any primary output below
-  //     its refresh-time arrival, deferred gates are re-pushed and the
-  //     worklist completes undamped — deferred gates stored nothing, so
-  //     this is exact).
+  //     edits invalidate the refresh-time path delays; a gate minted in
+  //     the transaction has no level and is covered by its driver's
+  //     invalidated net) and a PO-decrease fallback (if the same
+  //     transaction LOWERS any primary output below its refresh-time
+  //     arrival, deferred gates are re-pushed and the worklist completes
+  //     undamped — deferred gates stored nothing, so this is exact).
   //
   // Margins are invalidated by any state-changing commit(), run_full(),
   // copy_state_from() and adopt_delta(); rollback() restores state exactly
@@ -158,8 +165,8 @@ class Sta {
   /// bit-identical. Throws InternalError on mismatch.
   void set_damp_diff(bool on) { damp_diff_ = on; }
   /// Recompute per-gate damping ceilings and forward levels from the
-  /// current (committed, fixed-point) state. O(n) reverse pass; call at
-  /// round granularity, never per-probe.
+  /// current (committed, fixed-point) state. O(n) forward and reverse pass;
+  /// call at round granularity, never per-probe.
   void refresh_damping_margins();
   bool margins_valid() const { return margins_valid_; }
   /// Gate g's PO-seeded ceiling from the last refresh_damping_margins()
@@ -228,9 +235,19 @@ class Sta {
   void save_net(GateId driver);
   double recompute_critical() const;
   /// Record a transaction seed's forward level into txn_max_dirty_level_
-  /// (gates minted after the last margin refresh disable damping for the
-  /// whole transaction).
+  /// (gates minted in the transaction have none and are skipped).
   void note_dirty_level(GateId g);
+  /// 1 + the highest level_ over g's fanins (0 for sources); fanins must
+  /// already be levelled.
+  int forward_level(GateId g) const;
+  /// propagate()'s bucket for g: 2 * level_[g]; for a gate minted since
+  /// the levels were computed, 2 * (its deepest fanin's level) + 1; the
+  /// last bucket when a fanin is unlevelled too.
+  std::size_t worklist_bucket(GateId g) const;
+  /// Size the (empty) worklist for levels 0..max_level: num_buckets is
+  /// 2 * max_level + 3 (even buckets per level, odd ones for minted gates,
+  /// and the last).
+  void size_worklist(std::size_t num_buckets);
 
   const Network& net_;
   const CellLibrary& lib_;
@@ -251,9 +268,14 @@ class Sta {
   double required_time_ = 0.0;
   bool required_valid_ = false;
 
-  // Damped-propagation state. req_damp_/level_ are refreshed together by
-  // refresh_damping_margins(); slots minted after a refresh (mid-txn
-  // inverters) get never-suppress sentinels until the next refresh.
+  // Damped-propagation state. req_damp_ is computed by
+  // refresh_damping_margins(); level_ by run_full() and again by every
+  // refresh (copy_state_from copies it). Ids that were not live gates at
+  // the last computation (tombstones, and slots grown since for mid-txn
+  // inverters) read never-suppress sentinels, and propagate() buckets them
+  // after their fanins; committed rewiring leaves level_ stale until the
+  // next refresh, which loosens the worklist order but never its fixed
+  // point.
   std::vector<RiseFall> req_damp_;  // PO-seeded per-gate arrival ceiling
   std::vector<int> level_;          // forward topo level (strict through Outputs)
   bool margins_valid_ = false;
@@ -280,7 +302,13 @@ class Sta {
   std::size_t saved_net_count_ = 0;
   std::vector<GateId> txn_dirty_nets_;
   std::vector<GateId> seeds_;
-  std::vector<GateId> queue_;        // propagate worklist scratch
+  // propagate() worklist (buckets as in worklist_bucket): occupied_ has bit
+  // b set while bucket b is non-empty, batch_ holds the bucket being
+  // recomputed, and queued_ marks the gates in either.
+  std::vector<std::vector<GateId>> buckets_;
+  std::vector<std::uint64_t> occupied_;
+  std::vector<GateId> batch_;
+  std::vector<std::uint8_t> queued_;
   std::vector<bool> arrival_saved_;  // per-gate flags for O(1) dedup
   std::vector<bool> net_saved_;
   double saved_critical_ = 0.0;

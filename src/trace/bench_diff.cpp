@@ -85,7 +85,8 @@ DiffReport diff_metrics_json(const std::string& before_text,
       ++bi;
       ++ai;
     }
-    if (e.in_before && e.in_after) {
+    const bool two_sided = e.in_before && e.in_after;
+    if (two_sided) {
       // From a zero baseline any nonzero value is an unbounded change in
       // its own direction: it exceeds every matching rule on that side.
       if (e.before != 0.0) {
@@ -93,15 +94,17 @@ DiffReport diff_metrics_json(const std::string& before_text,
       } else if (e.after != 0.0) {
         e.delta_pct = std::copysign(std::numeric_limits<double>::infinity(), e.after);
       }
-      for (std::size_t i = 0; i < rules.size(); ++i) {
-        if (!glob_match(rules[i].pattern, e.key)) continue;
-        const bool bad = rules[i].above ? (e.delta_pct > rules[i].pct)
-                                        : (e.delta_pct < -rules[i].pct);
-        if (bad) {
-          e.violated_rule = static_cast<int>(i);
-          ++report.violations;
-          break;
-        }
+    }
+    for (std::size_t i = 0; i < rules.size(); ++i) {
+      if (!glob_match(rules[i].pattern, e.key)) continue;
+      // A key on one side only has no delta to bound: a rule that names it
+      // expected it on both sides, so it fails that rule outright.
+      const bool bad = !two_sided || (rules[i].above ? (e.delta_pct > rules[i].pct)
+                                                     : (e.delta_pct < -rules[i].pct));
+      if (bad) {
+        e.violated_rule = static_cast<int>(i);
+        ++report.violations;
+        break;
       }
     }
     report.entries.push_back(std::move(e));
@@ -114,23 +117,21 @@ void write_diff_report(std::ostream& os, const DiffReport& report,
   os << "bench-diff: " << report.keys_before << " baseline keys, "
      << report.keys_after << " current keys\n";
   for (const DiffEntry& e : report.entries) {
+    const bool bad = e.violated_rule >= 0;
     if (!e.in_before) {
-      os << "  + " << e.key << " = " << e.after << " (new)\n";
-      continue;
+      os << (bad ? "! + " : "  + ") << e.key << " = " << e.after << " (new)";
+    } else if (!e.in_after) {
+      os << (bad ? "! - " : "  - ") << e.key << " (removed, was " << e.before << ")";
+    } else {
+      if (only_changed && e.before == e.after) continue;
+      os << (bad ? "  ! " : "    ") << e.key << ": " << e.before << " -> " << e.after;
     }
-    if (!e.in_after) {
-      os << "  - " << e.key << " (removed, was " << e.before << ")\n";
-      continue;
-    }
-    if (only_changed && e.before == e.after) continue;
-    os << (e.violated_rule >= 0 ? "  ! " : "    ") << e.key << ": " << e.before
-       << " -> " << e.after;
-    if (e.before != 0.0) {
+    if (e.in_before && e.in_after && e.before != 0.0) {
       os << " (" << (e.delta_pct >= 0 ? "+" : "") << std::fixed
          << std::setprecision(1) << e.delta_pct << "%)" << std::defaultfloat
          << std::setprecision(6);
     }
-    if (e.violated_rule >= 0) {
+    if (bad) {
       const DiffRule& rule = rules[static_cast<std::size_t>(e.violated_rule)];
       os << "  REGRESSION vs " << (rule.above ? "fail-above " : "fail-below ")
          << rule.pattern << "=" << rule.pct;

@@ -8,8 +8,10 @@
 //   fail-above  "time.*=10"          — fail if the new value exceeds the
 //                                      old by more than 10%
 //   fail-below  "rate.probes_per_sec=40" — fail if it drops more than 40%
-// A rule only fires when both sides have the key (new keys / removed keys
-// are reported but never fail — bench schemas grow). A key leaving a zero
+// A key present on one side only (new or removed) fails every rule whose
+// pattern matches it, so a flow or counter that vanishes cannot pass a
+// zero-tolerance gate; one-sided keys no rule names are only reported. A
+// key leaving a zero
 // baseline counts as an unbounded change: it fails every matching
 // fail-above rule when the new value is positive, every fail-below rule
 // when it is negative.

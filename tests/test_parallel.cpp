@@ -287,10 +287,15 @@ void expect_thread_count_identity(const char* name, const PreparedCircuit& prepa
     EXPECT_EQ(ref.result.final_delay, r.result.final_delay) << cfg;
     // Every round is a barrier and each group's probes are a pure function
     // of the live state, so the work counters are thread-invariant too.
-    // gates_propagated is deliberately absent: each replica refreshes its
-    // damping margins at its own sync points, so the cutoff depth (not any
-    // probe objective) drifts with the worker count.
+    // That includes the propagation shape: replicas probe right after
+    // their margin refresh, as the live engine does after its own, so both
+    // walk the same levels, and the level-ordered worklist recomputes each
+    // gate after its fanins whatever the fanout order. margin_refreshes is
+    // the exception: each replica refreshes once per round.
     EXPECT_EQ(ref.result.probes, r.result.probes) << cfg;
+    EXPECT_EQ(ref.result.gates_propagated, r.result.gates_propagated) << cfg;
+    EXPECT_EQ(ref.result.damp_cutoffs, r.result.damp_cutoffs) << cfg;
+    EXPECT_EQ(ref.result.damp_fallbacks, r.result.damp_fallbacks) << cfg;
     EXPECT_EQ(ref.result.candidates_enumerated, r.result.candidates_enumerated) << cfg;
     EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
     EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;

@@ -6,14 +6,19 @@
 // flow that replays every damped probe undamped.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "engine/rewire_engine.hpp"
 #include "flow/flow.hpp"
 #include "gen/large.hpp"
+#include "gen/suite.hpp"
 #include "io/blif_writer.hpp"
 #include "netlist/builder.hpp"
+#include "place/placer.hpp"
+#include "sym/symmetry.hpp"
 #include "test_helpers.hpp"
 #include "timing/sta.hpp"
 
@@ -249,6 +254,138 @@ TEST(TimingDamp, DampDiffSelfCheckPassesAndMarginsFollowCommits) {
   sta.refresh_damping_margins();
   EXPECT_TRUE(sta.margins_valid());
   EXPECT_EQ(sta.margin_refreshes(), 2u);
+}
+
+// --- level-ordered worklist ----------------------------------------------------
+
+/// A reconvergent lattice: `rows` rows of `width` NAND3s. Gate (r, i) reads
+/// (r-1, i), (r-1, i+1) and the skip edge (r-2, i+2), wrapping around the
+/// row, so a disturbance reaches most gates along several paths of
+/// different lengths. Row -1 is the primary inputs; the last row drives the
+/// outputs.
+Network lattice_network(int width, int rows, std::vector<std::vector<GateId>>& grid) {
+  NetworkBuilder b;
+  std::vector<GateId> inputs;
+  for (int i = 0; i < width; ++i) inputs.push_back(b.input("x" + std::to_string(i)));
+  grid.assign(static_cast<std::size_t>(rows), {});
+  for (int r = 0; r < rows; ++r) {
+    const std::vector<GateId>& up = r >= 1 ? grid[r - 1] : inputs;
+    const std::vector<GateId>& skip = r >= 2 ? grid[r - 2] : inputs;
+    for (int i = 0; i < width; ++i) {
+      const GateId g = b.net().add_gate(GateType::Nand);
+      b.net().add_fanin(g, up[i]);
+      b.net().add_fanin(g, up[(i + 1) % width]);
+      b.net().add_fanin(g, skip[(i + 2) % width]);
+      grid[r].push_back(g);
+    }
+  }
+  for (int i = 0; i < width; ++i) b.output("f" + std::to_string(i), grid[rows - 1][i]);
+  Network net = b.take();
+  const int nand3 = lib035().find(GateType::Nand, 3, 1);
+  EXPECT_GE(nand3, 0);
+  for (const auto& row : grid) {
+    for (const GateId g : row) net.set_cell(g, nand3);
+  }
+  return net;
+}
+
+TEST(TimingWorklist, FreshLevelsPopEachGateOnce) {
+  // An undamped resize probe must recompute exactly the gates it has to:
+  // the seeds, plus every sink of a gate whose arrival (or net) changed.
+  // Levels from run_full match the topology, so the level-ordered worklist
+  // pops each of them once, after all of its fanins are final. A walk in
+  // push order re-pops lattice gates reached along paths of different
+  // lengths.
+  std::vector<std::vector<GateId>> grid;
+  Network net = lattice_network(8, 12, grid);
+  // All cells on one spot: every row's arrivals tie, so a slowed gate
+  // raises its whole fanout cone.
+  const Placement pl = grid_placement(net, /*pitch=*/0.0);
+  Sta sta(net, lib035(), pl);
+
+  const int slow = lib035().find(GateType::Nand, 3, 0);
+  ASSERT_GE(slow, 0);
+  for (const GateId victim : {grid[1][0], grid[4][3]}) {
+    ASSERT_NE(slow, net.cell(victim));
+    std::vector<RiseFall> before(net.id_bound());
+    for (const GateId g : net.gates()) before[g] = sta.arrival_rf(g);
+    const std::uint64_t pops0 = sta.gates_propagated();
+
+    const int orig = net.cell(victim);
+    sta.begin();
+    net.set_cell(victim, slow);
+    std::vector<bool> needed(net.id_bound(), false);
+    for (const GateId f : net.fanins(victim)) {
+      sta.invalidate_net(f);
+      needed[f] = true;
+      for (const Pin& pin : net.fanouts(f)) needed[pin.gate] = true;  // wire delays moved
+    }
+    sta.touch_gate(victim);
+    needed[victim] = true;
+    sta.propagate();
+    std::size_t changed = 0;
+    for (const GateId g : net.gates()) {
+      if (sta.arrival_rf(g) == before[g]) continue;
+      ++changed;
+      for (const Pin& pin : net.fanouts(g)) needed[pin.gate] = true;
+    }
+    const std::uint64_t pops = sta.gates_propagated() - pops0;
+    net.set_cell(victim, orig);
+    sta.rollback();
+
+    const auto must_pop =
+        static_cast<std::uint64_t>(std::count(needed.begin(), needed.end(), true));
+    EXPECT_GT(changed, 20u) << "the probe must disturb a reconvergent cone";
+    EXPECT_EQ(pops, must_pop) << net.name(victim);
+  }
+}
+
+TEST(TimingWorklist, StaleLevelsStayExactThroughCommitsAndProbes) {
+  // Committed inverting swaps mint inverters (no level until the next
+  // refresh) and move pins across levels. With
+  // no margin refresh, every later probe and commit runs on levels that no
+  // longer match the topology; each must still land bit for bit on the
+  // fixed point a fresh full analysis computes.
+  Network net = map_network(make_benchmark("alu2"), lib035()).mapped;
+  PlacerOptions popt;
+  popt.effort = 1.0;
+  popt.num_temps = 4;
+  Placement pl = place(net, lib035(), popt);
+  Sta sta(net, lib035(), pl);
+  RewireEngine engine(net, pl, lib035(), sta);
+
+  const auto expect_fresh = [&](const std::string& when) {
+    const Sta fresh(net, lib035(), pl);
+    ASSERT_EQ(sta.critical_delay(), fresh.critical_delay()) << when;
+    for (const GateId g : net.gates()) {
+      ASSERT_EQ(sta.arrival_rf(g), fresh.arrival_rf(g)) << when << ": " << net.name(g);
+    }
+  };
+
+  for (int step = 0; step < 10; ++step) {
+    const std::vector<SwapCandidate> swaps = enumerate_all_swaps(engine.partition(), net);
+    std::vector<SwapCandidate> inverting;
+    for (const SwapCandidate& c : swaps) {
+      if (c.polarity == SwapPolarity::Inverting) inverting.push_back(c);
+    }
+    ASSERT_FALSE(inverting.empty());
+    // Probes roll back exactly on stale levels too.
+    for (std::size_t i = 0; i < 16; ++i) {
+      engine.probe(EngineMove::swap(swaps[(i * 7919 + step) % swaps.size()]));
+    }
+    const std::string when = "step " + std::to_string(step);
+    expect_fresh(when + " probes");
+    const EngineMove move =
+        EngineMove::swap(inverting[(static_cast<std::size_t>(step) * 31) % inverting.size()]);
+    const EngineObjective probed = engine.probe(move);
+    const EngineObjective committed = engine.commit(move);
+    EXPECT_EQ(probed.critical, committed.critical) << when;
+    EXPECT_EQ(probed.sum_po, committed.sum_po) << when;
+    expect_fresh(when + " commit");
+  }
+  EXPECT_GT(engine.stats().inverters_added, 0);
+  EXPECT_EQ(sta.margin_refreshes(), 0u);
+  EXPECT_FALSE(sta.margins_valid());
 }
 
 // --- flow-level determinism: damped threads {1,4} vs the self-checked run ---

@@ -354,7 +354,7 @@ TEST(BenchDiff, FlagsRegressionsPastThresholdOnly) {
   rules.push_back(parse_diff_rule("counters.*=0", /*above=*/true));  // 0 -> 99 fails
   const DiffReport report = diff_metrics_json(before, after, rules);
   EXPECT_EQ(report.violations, 2);
-  // New keys are reported, never failed.
+  // A new key that no rule names is reported, never failed.
   bool saw_new = false;
   for (const DiffEntry& e : report.entries) {
     // A zero baseline does not exempt a key from its rules.
@@ -374,6 +374,34 @@ TEST(BenchDiff, FlagsRegressionsPastThresholdOnly) {
   std::ostringstream os;
   write_diff_report(os, report, rules, /*only_changed=*/true);
   EXPECT_NE(os.str().find("REGRESSION"), std::string::npos);
+}
+
+TEST(BenchDiff, OneSidedKeyFailsEveryMatchingRule) {
+  // A netlist ledger that lost a flow (and gained a renamed one) must not
+  // pass a zero-tolerance gate just because the surviving keys agree.
+  const std::string before = R"({"env": {"host": 1},
+                                 "flows": {"c17_gsg": {"delay": 1.5, "swaps": 2},
+                                           "c432_gsg": {"delay": 3.0, "swaps": 7}}})";
+  const std::string after = R"({"env": {"cpu": 4},
+                                "flows": {"c17_gsg": {"delay": 1.5, "swaps": 2},
+                                          "c432_GSG": {"delay": 3.0, "swaps": 7}}})";
+  for (const bool above : {true, false}) {
+    std::vector<DiffRule> rules;
+    rules.push_back(parse_diff_rule("flows.*=0", above));
+    const DiffReport report = diff_metrics_json(before, after, rules);
+    EXPECT_EQ(report.violations, 4) << "above=" << above;
+    for (const DiffEntry& e : report.entries) {
+      const bool one_sided = !(e.in_before && e.in_after);
+      // env.* keys are one-sided too, but no rule names them.
+      const bool named = e.key.rfind("flows.", 0) == 0;
+      EXPECT_EQ(e.violated_rule, one_sided && named ? 0 : -1) << e.key;
+    }
+    std::ostringstream os;
+    write_diff_report(os, report, rules, /*only_changed=*/true);
+    EXPECT_NE(os.str().find("! - flows.c432_gsg.delay"), std::string::npos) << os.str();
+    EXPECT_NE(os.str().find("! + flows.c432_GSG.swaps"), std::string::npos) << os.str();
+    EXPECT_NE(os.str().find("  + env.cpu"), std::string::npos) << os.str();
+  }
 }
 
 TEST(BenchDiff, CleanDiffHasNoViolations) {
