@@ -2,16 +2,15 @@
 //
 // The tentpole claim: the per-commit costs of the parallel flow are
 // O(dirty), not O(network) — replica delta sync ships only committed
-// rounds' touched state, fanout-order canonicalization re-sorts only
-// dirty gates, and the slack-epoch cache skips re-enumerating pruned
-// swap lists whose driver arrivals are unchanged. This bench runs the
-// full flow (generate -> map -> place -> optimize) over the synthetic
-// large-circuit profile at several sizes and reports, per size point:
+// rounds' touched state, and fanout-order canonicalization re-sorts only
+// dirty gates. This bench runs the full flow (generate -> map -> place ->
+// optimize) over the synthetic large-circuit profile at several sizes and
+// reports, per size point:
 //
-//   - per-epoch replica sync bytes (delta path) next to what one full
-//     clone of the network would have cost,
+//   - per-epoch replica sync bytes (delta path's journal slices) next to
+//     what one full clone of the network would have cost,
 //   - gates re-sorted per canonicalize pass after setup,
-//   - swap candidates enumerated vs pruned lists served from cache,
+//   - swap candidates enumerated,
 //   - timing propagation shape: gates propagated per probe and the
 //     slack-margin damp cutoff rate (the probe-cost story),
 //   - the phase-timing breakdown (setup/probe/arbitrate/commit/sync).
@@ -69,7 +68,6 @@ struct SizePoint {
   std::uint64_t gates_canonicalized = 0;
   double gates_canonicalized_per_call = 0.0;
   std::uint64_t candidates_enumerated = 0;
-  std::uint64_t pruned_groups_cached = 0;
   std::uint64_t probes = 0;
   std::uint64_t gates_propagated = 0;
   std::uint64_t damp_cutoffs = 0;
@@ -138,7 +136,6 @@ SizePoint measure(std::size_t target, std::uint64_t seed, int threads, int iters
                                       static_cast<double>(r.canonicalize_calls);
   }
   pt.candidates_enumerated = r.candidates_enumerated;
-  pt.pruned_groups_cached = r.pruned_groups_cached;
   pt.probes = r.probes;
   pt.gates_propagated = r.gates_propagated;
   pt.damp_cutoffs = r.damp_cutoffs;
@@ -263,8 +260,7 @@ int main(int argc, char** argv) {
          << "     \"commit_path\": {\"canonicalize_calls\": " << p.canonicalize_calls
          << ", \"gates_canonicalized\": " << p.gates_canonicalized
          << ", \"gates_per_call\": " << p.gates_canonicalized_per_call
-         << ", \"candidates_enumerated\": " << p.candidates_enumerated
-         << ", \"pruned_groups_cached\": " << p.pruned_groups_cached << "},\n"
+         << ", \"candidates_enumerated\": " << p.candidates_enumerated << "},\n"
          << "     \"timing\": {\"probes\": " << p.probes
          << ", \"gates_propagated\": " << p.gates_propagated
          << ", \"gates_propagated_per_probe\": " << p.gates_propagated_per_probe

@@ -67,8 +67,8 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
     }
     // Every round is a barrier and each group's probe count is a pure
     // function of the live state, so the probe total is thread-invariant
-    // too, and so is the propagation shape: replicas probe on freshly
-    // refreshed levels and margins, as the live engine does.
+    // too, and so is the propagation shape: replicas probe on the live
+    // engine's levels and margins, which only the live engine refreshes.
     struct Count {
       const char* what;
       std::uint64_t serial, parallel;
@@ -79,7 +79,9 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
                 parallel.result.gates_propagated},
           Count{"damp_cutoffs", serial.result.damp_cutoffs, parallel.result.damp_cutoffs},
           Count{"damp_fallbacks", serial.result.damp_fallbacks,
-                parallel.result.damp_fallbacks}}) {
+                parallel.result.damp_fallbacks},
+          Count{"margin_refreshes", serial.result.margin_refreshes,
+                parallel.result.margin_refreshes}}) {
       if (threads > 1 && c.serial != c.parallel) {
         return "determinism: threads=1 and threads=" + std::to_string(threads) +
                " reported different " + c.what + " (" + std::to_string(c.serial) +

@@ -173,7 +173,7 @@ class Optimizer {
     result.seconds_arbitrate = sched.seconds_arbitrate;
     result.seconds_commit = sched.seconds_commit;
     result.seconds_sync = sched.sync.seconds;
-    result.seconds_timing = seconds_margins_ + sched.seconds_timing;
+    result.seconds_timing = seconds_margins_;
     result.gates_propagated = stats.gates_propagated;
     result.damp_cutoffs = stats.damp_cutoffs;
     result.damp_fallbacks = stats.damp_fallbacks;
@@ -186,7 +186,6 @@ class Optimizer {
     result.canonicalize_calls = net_.canonicalize_calls() - canon_calls_base;
     result.gates_canonicalized = net_.gates_canonicalized() - canon_gates_base;
     result.candidates_enumerated = candidates_enumerated_;
-    result.pruned_groups_cached = pruned_cache_hits_;
     result.sched_rounds = sched.rounds;
     result.sched_accepted = sched.accepted;
     result.sched_conflicted = sched.conflicted;
@@ -197,8 +196,8 @@ class Optimizer {
 
     // Phase accounting self-check: setup + groups + probe + arbitrate +
     // commit + finalize should cover the whole run (sync is a subset of
-    // probe, and margin refreshes a subset of groups and probe, so neither
-    // is added). Whatever is left is loop overhead —
+    // probe, and margin refreshes a subset of groups, so neither is
+    // added). Whatever is left is loop overhead —
     // warn when it stops being noise, because an unattributed phase is
     // exactly what this breakdown exists to prevent. The absolute floor
     // keeps microsecond runs, where timer overhead alone is a few percent,
@@ -325,23 +324,21 @@ class Optimizer {
         }
         SwapGroupCache& entry = swap_cache_[s];
         // Clean slot: the supergate — and therefore its feasible swap set —
-        // is untouched since the moves were enumerated. An arrival-gap-
-        // PRUNED list additionally depends on the drivers' arrivals at
-        // enumeration time; the slack-epoch stamps prove those are still
-        // bit-identical, so the cached list equals what re-enumeration
-        // would produce (self-check re-enumerates to prove it).
-        const bool cache_ok =
-            entry.generation != 0 && entry.generation == sg.generation &&
-            (!entry.pruned || pruned_cache_valid(sg, entry));
+        // is untouched since the moves were enumerated, so the cached list
+        // equals what re-enumeration would produce (self-check
+        // re-enumerates to prove it).
+        const bool cache_ok = entry.generation != 0 && entry.generation == sg.generation;
         if (cache_ok) {
           if (options_.self_check) check_cached_moves(part, s, entry);
-          if (entry.pruned) ++pruned_cache_hits_;
         } else {
           const std::size_t candidates = swap_moves(part, s, entry.moves);
           candidates_enumerated_ += candidates;
-          entry.pruned = candidates > static_cast<std::size_t>(options_.max_swaps_per_sg);
-          entry.generation = sg.generation;
-          entry.timing_epoch = sta_.timing_epoch();
+          // A list truncated at the cap kept the largest arrival gaps of
+          // this round's timing, so it is never cached: a hot truncated
+          // slot is enumerated again.
+          const bool truncated =
+              candidates > static_cast<std::size_t>(options_.max_swaps_per_sg);
+          entry.generation = truncated ? 0 : sg.generation;
         }
         ProbeGroup& group = next_group();
         keep_hot_swaps(entry.moves, group.moves);
@@ -378,29 +375,12 @@ class Optimizer {
   }
 
   /// Per-supergate-slot cache of enumerated swap moves, valid while the
-  /// slot's generation is unchanged. `pruned` marks move lists truncated by
-  /// the arrival-gap heuristic — those additionally depend on the timing
-  /// state at enumeration (`timing_epoch`) and are served only while the
-  /// relevant arrival stamps prove that state unchanged.
+  /// slot's generation is unchanged. Generation 0 marks an entry that holds
+  /// no servable list: never filled, or truncated at the cap.
   struct SwapGroupCache {
     std::uint64_t generation = 0;
-    std::uint64_t timing_epoch = 0;
-    bool pruned = false;
     std::vector<EngineMove> moves;
   };
-
-  /// True when no arrival a pruned enumeration could have read — the leaf
-  /// drivers' and the covered gates' (candidate pins' drivers are always
-  /// one or the other) — changed since the list was cached.
-  bool pruned_cache_valid(const SuperGate& sg, const SwapGroupCache& entry) const {
-    for (const CoveredPin& p : sg.pins) {
-      if (sta_.arrival_stamp(p.driver) > entry.timing_epoch) return false;
-    }
-    for (const GateId g : sg.covered) {
-      if (sta_.arrival_stamp(g) > entry.timing_epoch) return false;
-    }
-    return true;
-  }
 
   /// Enumerate slot `s`'s swap moves into `moves`, keeping only the
   /// `max_swaps_per_sg` largest arrival gaps past the cap. Reads state
@@ -506,7 +486,6 @@ class Optimizer {
   double seconds_margins_ = 0.0;    // live margin refreshes (inside groups)
   std::uint64_t oracle_probes_ = 0;  // self-check's gating probes, not reported
   std::uint64_t groups_reused_ = 0;
-  std::uint64_t pruned_cache_hits_ = 0;
   std::uint64_t candidates_enumerated_ = 0;
   std::vector<std::size_t> slot_order_;  // root-sorted live slots (reused)
   std::vector<EngineMove> recheck_moves_;  // self-check re-enumeration scratch

@@ -151,17 +151,17 @@ struct OptimizerResult {
   double seconds_arbitrate = 0.0;
   double seconds_commit = 0.0;
   double seconds_sync = 0.0;
-  /// Damping-margin refresh time, added to no phase: the live engine's
-  /// refreshes run inside group building (seconds_groups, where slack
-  /// gating reads them) and the replicas' inside probe (seconds_probe,
-  /// summed over workers).
+  /// Damping-margin refresh time, added to no phase: margins are refreshed
+  /// only on the live engine, inside group building (seconds_groups, where
+  /// slack gating reads them); replicas adopt them when they sync.
   double seconds_timing = 0.0;
   /// Propagation-shape counters (merged across live engine + replicas):
   /// worklist pops across every probe/commit propagation, pops suppressed by
   /// the slack-margin cutoff, exact undamped replays after an in-probe PO
-  /// arrival decrease, and PO-seeded margin recomputations. cutoffs /
-  /// (propagated + cutoffs) is the damping rate; gates_propagated / probes
-  /// is the per-probe cost the damping exists to flatten.
+  /// arrival decrease, and PO-seeded margin recomputations (live engine
+  /// only). cutoffs / (propagated + cutoffs) is the damping rate;
+  /// gates_propagated / probes is the per-probe cost the damping exists to
+  /// flatten. All four are thread-invariant.
   std::uint64_t gates_propagated = 0;
   std::uint64_t damp_cutoffs = 0;
   std::uint64_t damp_fallbacks = 0;
@@ -179,10 +179,12 @@ struct OptimizerResult {
   /// Commit-path O(dirty) counters, measured AFTER the setup extraction so
   /// they reflect steady-state per-commit cost: fanout-order canonicalize
   /// passes and gates actually re-sorted; swap candidates materialized by
-  /// enumeration; pruned move lists served by the slack-epoch cache.
+  /// enumeration.
   std::uint64_t canonicalize_calls = 0;
   std::uint64_t gates_canonicalized = 0;
   std::uint64_t candidates_enumerated = 0;
+  /// Always zero (truncated swap lists are never cached); kept only because
+  /// perfbench reads it, like sched_speculat* below.
   std::uint64_t pruned_groups_cached = 0;
   /// Scheduler round/arbitration counters (merged across phases):
   /// committed/accepted is the arbitration yield, revalidation_rejects

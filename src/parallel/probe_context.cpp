@@ -98,10 +98,7 @@ void ProbeContext::sync(RewireEngine& source) {
   engine_->set_session(ctx_);
   // Replicas inherit self-check, because damped-probe replay runs where the
   // probe runs. Paranoid mode is not inherited: it proves commits, and a
-  // replica never commits. (Damping margins are NOT synced — they are a
-  // per-Sta accelerator, refreshed replica-side at round granularity;
-  // damped and undamped probes return identical objectives by
-  // construction, which self-check's undamped replay asserts.)
+  // replica never commits.
   engine_->set_self_check(source.self_check());
 
   epoch_ = source.epoch();

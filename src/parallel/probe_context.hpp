@@ -16,7 +16,10 @@
 // supergate slots, and probe identically without one.
 //
 // Lifecycle: sync() re-replicates after the live epoch advances (commits
-// invalidate replicas); probe results remain valid within one epoch.
+// invalidate replicas); probe results remain valid within one epoch. Both
+// sync paths adopt the live Sta's levels and damping margins as they stand,
+// so a replica damps exactly as the live engine would and never refreshes
+// margins itself: refresh the live engine's before the round that syncs.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +68,8 @@ class ProbeContext {
   /// adopted — O(dirty), not O(network) — with a transparent fallback to
   /// the full clone path otherwise (always taken by a context's first
   /// sync, which makes a fresh context the byte-exact reference). Both
-  /// paths leave the replica bit-identical for probe arithmetic.
+  /// paths leave the replica bit-identical for probe arithmetic, damping
+  /// margins included.
   void sync(RewireEngine& source);
 
   /// Session this context's replica engine records into (null = ambient).
@@ -86,16 +90,12 @@ class ProbeContext {
   const Sta& replica_sta() const { return *sta_; }
   const Placement& replica_placement() const { return pl_; }
 
-  /// True when this replica reflects live epoch `epoch`.
-  bool synced_to(std::uint64_t epoch) const { return has_state_ && epoch_ == epoch; }
-
   /// True when this replica reflects the live engine's CURRENT state — the
   /// commit epoch AND the Sta state version. The epoch alone is not enough:
   /// an out-of-band run_full (journal restart, delta-sync fallback) rebuilds
   /// the live timing state without advancing the commit epoch, so a replica
   /// adopted "late" in the same epoch would otherwise keep pre-restart
-  /// arrivals and probe against stale timing. The scheduler's skip-sync fast
-  /// path must use this, never bare synced_to().
+  /// arrivals and probe against stale timing.
   bool in_sync_with(RewireEngine& source) const;
 
   /// The replica engine (valid after the first sync). Probe through

@@ -145,9 +145,10 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
 
   // The live engine's damping margins are the caller's to refresh (the
   // optimizer does so while building the round's groups, which reads them):
-  // the serial fast path probes the live engine, and arbitration's
-  // re-validation probes reuse them until the round's first commit
-  // invalidates. Probes are exact either way; stale margins only undamp.
+  // the serial fast path probes the live engine, replicas adopt them when
+  // they sync, and arbitration's re-validation probes reuse them until the
+  // round's first commit invalidates. Probes are exact either way; stale
+  // margins only undamp.
 
   const double base_critical = engine_.sta().critical_delay();
   const double base_sum = engine_.sta().sum_po_arrival();
@@ -187,9 +188,6 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
         static_cast<int>(g));
   }
 
-  // Per-worker margin-refresh seconds, summed after the barrier (workers
-  // must not race on the shared stats struct).
-  std::vector<double> margin_seconds(static_cast<std::size_t>(workers), 0.0);
   pool_->run([&](int w) {
     // Install this session on the pool thread: a session-lent pool thread
     // has no ambient context, and its thread-local worker id must be this
@@ -207,17 +205,7 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
     TraceSpan shard_span(session_->tracer(), "probe", "probe_shard");
     shard_span.set_arg("groups", static_cast<std::int64_t>(mine.size()));
     ProbeContext& ctx = *contexts_[static_cast<std::size_t>(w)];
-    // in_sync_with, not synced_to: the epoch alone misses an out-of-band
-    // run_full (journal restart) inside the same epoch — the replica would
-    // keep pre-restart arrivals.
     if (!ctx.in_sync_with(engine_)) ctx.sync(engine_);
-    {
-      // Replica margins (stale after every sync — they are not shipped,
-      // see ProbeContext::sync) refresh once per round per worker.
-      const Timer margin_timer;
-      ctx.engine().refresh_timing_margins();
-      margin_seconds[static_cast<std::size_t>(w)] = margin_timer.seconds();
-    }
     std::uint64_t my_probes = 0;
     for (const int g : mine) {
       GroupResult& r = results[static_cast<std::size_t>(g)];
@@ -238,7 +226,6 @@ std::vector<GroupResult> ParallelRewireScheduler::probe_round(
   // the round returns — the engine and sync totals are exact whenever the
   // caller reads them between rounds.
   stats_.worker_probes += harvest_worker_counters();
-  for (const double s : margin_seconds) stats_.seconds_timing += s;
   stats_.seconds_probe += round_timer.seconds();
   return results;
 }

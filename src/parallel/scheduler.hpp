@@ -117,13 +117,12 @@ struct SchedulerStats {
   std::uint64_t revalidation_rejects = 0; // winners whose live gain evaporated
   // Phase wall times: probe_round (worker fan-out incl. replica sync),
   // arbitration overhead, and live commits (disjoint — arbitrate excludes
-  // the commit time). Replica sync cost is broken out in `sync`;
-  // seconds_timing is the replicas' damping-margin refresh time, a quoted
-  // SUBSET of seconds_probe (the live engine's margins are the caller's).
+  // the commit time). Replica sync cost is broken out in `sync`. The
+  // scheduler refreshes no damping margins: replicas adopt the live
+  // engine's, which are the caller's to refresh.
   double seconds_probe = 0.0;
   double seconds_arbitrate = 0.0;
   double seconds_commit = 0.0;
-  double seconds_timing = 0.0;
   ReplicaSyncStats sync;
   /// Distribution of live-validated gains over committed moves (critical
   /// gain for MinCritical/FirstFit rounds, sum-of-PO gain for Relaxation).
@@ -145,10 +144,10 @@ class ParallelRewireScheduler {
   /// Shard `groups` by probe weight and probe them in parallel against the
   /// live state. Returns one result per group, indexed like `groups`,
   /// independent of worker count. (Spans accept plain vectors; the
-  /// optimizer passes its pooled group storage without copying.) Replicas
-  /// refresh their own damping margins; refresh the live engine's
-  /// (RewireEngine::refresh_timing_margins) before the round for damped
-  /// live probes.
+  /// optimizer passes its pooled group storage without copying.) Refresh
+  /// the live engine's damping margins
+  /// (RewireEngine::refresh_timing_margins) before the round: the live
+  /// probes use them and every replica adopts them when it syncs.
   std::vector<GroupResult> probe_round(std::span<const ProbeGroup> groups,
                                        ProbePolicy policy, double threshold);
 

@@ -95,30 +95,4 @@ std::size_t remove_dangling_inverters(Network& net) {
   return removed;
 }
 
-std::size_t cleanup_after_swap(Network& net) {
-  // INV(INV(x)) sinks are retargeted to x; dangling inverters removed.
-  std::size_t removed = 0;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (const GateId g : net.gates()) {
-      if (net.type(g) != GateType::Inv) continue;
-      if (net.fanout_count(g) == 0) {
-        net.delete_gate(g);
-        ++removed;
-        changed = true;
-        continue;
-      }
-      const GateId d = net.fanin(g, 0);
-      if (net.type(d) == GateType::Inv) {
-        net.replace_all_fanouts(g, net.fanin(d, 0));
-        net.delete_gate(g);
-        ++removed;
-        changed = true;
-      }
-    }
-  }
-  return removed;
-}
-
 }  // namespace rapids

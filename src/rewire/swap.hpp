@@ -54,14 +54,6 @@ void apply_swap_into(Network& net, Placement& placement, const CellLibrary& lib,
 /// Exact rollback of apply_swap (drivers restored, inserted gates deleted).
 void undo_swap(Network& net, Placement& placement, SwapEdit& edit);
 
-/// Post-commit cleanup around an applied swap: cancel inverter pairs that
-/// the edit created immediately behind existing inverters, and sweep gates
-/// left dangling. Only inverters are ever removed. Returns #gates deleted.
-/// NOTE: pair collapse moves load onto shared drivers, which can degrade
-/// paths that were timed with the pair in place — the optimizer uses
-/// remove_dangling_inverters() instead, which is monotonically load-reducing.
-std::size_t cleanup_after_swap(Network& net);
-
 /// Delete inverters with no remaining fanouts (left behind by inverting
 /// swaps that reused an existing inverter's input). Strictly reduces the
 /// load on their drivers, so timing can only improve. Returns #deleted.

@@ -16,6 +16,26 @@ int covered_index(const SuperGate& sg, GateId g) {
   return -1;
 }
 
+/// classify_swap for two entries of sg.pins, which enumeration already
+/// holds, so no pin lookup is needed.
+bool classify_covered(const SuperGate& sg, const Network& net, const CoveredPin& a,
+                      const CoveredPin& b, SwapPolarity& polarity) {
+  if (a.pin == b.pin) return false;
+  if (path_contains(sg, net, a.pin, b.pin)) return false;
+  switch (sg.type) {
+    case SgType::Xor:
+      polarity = SwapPolarity::NonInverting;  // Lemma 8: both work
+      return true;
+    case SgType::AndOr:
+      polarity = (a.imp_value == b.imp_value) ? SwapPolarity::NonInverting
+                                              : SwapPolarity::Inverting;
+      return true;
+    case SgType::Trivial:
+      return false;
+  }
+  return false;
+}
+
 }  // namespace
 
 bool path_contains(const SuperGate& sg, const Network& net, const Pin& a, const Pin& b) {
@@ -38,8 +58,7 @@ bool path_contains(const SuperGate& sg, const Network& net, const Pin& a, const 
 
 bool classify_swap(const SuperGate& sg, const Network& net, const Pin& a, const Pin& b,
                    SwapPolarity& polarity) {
-  if (a == b) return false;
-  if (sg.is_trivial() && sg.type == SgType::Trivial) return false;
+  if (sg.type == SgType::Trivial) return false;
   const CoveredPin* cpa = nullptr;
   const CoveredPin* cpb = nullptr;
   for (const CoveredPin& cp : sg.pins) {
@@ -47,19 +66,7 @@ bool classify_swap(const SuperGate& sg, const Network& net, const Pin& a, const 
     if (cp.pin == b) cpb = &cp;
   }
   if (cpa == nullptr || cpb == nullptr) return false;
-  if (path_contains(sg, net, a, b)) return false;
-  switch (sg.type) {
-    case SgType::Xor:
-      polarity = SwapPolarity::NonInverting;  // Lemma 8: both work
-      return true;
-    case SgType::AndOr:
-      polarity = (cpa->imp_value == cpb->imp_value) ? SwapPolarity::NonInverting
-                                                    : SwapPolarity::Inverting;
-      return true;
-    case SgType::Trivial:
-      return false;
-  }
-  return false;
+  return classify_covered(sg, net, *cpa, *cpb, polarity);
 }
 
 std::vector<SwapCandidate> enumerate_swaps(const GisgPartition& part, int sg_index,
@@ -73,7 +80,7 @@ std::vector<SwapCandidate> enumerate_swaps(const GisgPartition& part, int sg_ind
     for (std::size_t j = i + 1; j < pins.size(); ++j) {
       if (leaves_only && !pins[j].leaf) continue;
       SwapPolarity pol;
-      if (!classify_swap(sg, net, pins[i].pin, pins[j].pin, pol)) continue;
+      if (!classify_covered(sg, net, pins[i], pins[j], pol)) continue;
       SwapCandidate c;
       c.sg_index = sg_index;
       c.pin_a = pins[i].pin;

@@ -61,9 +61,9 @@ void Sta::copy_state_from(const Sta& other) {
   // must re-resolve the SAME required-time policy as the source.
   options_ = other.options_;
   state_version_ = other.state_version_;
-  timing_epoch_ = other.timing_epoch_;
-  arrival_stamp_ = other.arrival_stamp_;
   level_ = other.level_;
+  req_damp_ = other.req_damp_;
+  margins_valid_ = other.margins_valid_;
   size_worklist(other.buckets_.size());
   const std::size_t n = net_.id_bound();
   net_dirty_.assign(n, false);
@@ -74,10 +74,6 @@ void Sta::copy_state_from(const Sta& other) {
   saved_net_count_ = 0;
   txn_dirty_nets_.clear();
   seeds_.clear();
-  // Margins are anchored to the source's committed state, which this copy
-  // now mirrors — but they are cheap to recompute and not synced, so the
-  // replica refreshes its own.
-  margins_valid_ = false;
 }
 
 void Sta::rebuild_net(GateId driver) {
@@ -172,8 +168,6 @@ void Sta::run_full() {
   required_valid_ = false;
   margins_valid_ = false;
   ++state_version_;
-  ++timing_epoch_;
-  arrival_stamp_.assign(n, timing_epoch_);
 }
 
 double Sta::slack(GateId g) const {
@@ -312,7 +306,6 @@ void Sta::grow() {
   queued_.resize(n, 0);
   arrival_saved_.resize(n, false);
   net_saved_.resize(n, false);
-  arrival_stamp_.resize(n, timing_epoch_);
   pin_delay_.resize(n * pin_stride_, 0.0);
   // Slots minted after the last level computation must never be
   // suppressed: a -inf ceiling fails the fresh <= req_damp test.
@@ -548,11 +541,9 @@ void Sta::commit() {
   // (they bake in PO arrivals AND path delays); rollback restores state
   // exactly and deliberately leaves them valid.
   if (!saved_arrivals_.empty() || saved_net_count_ > 0) margins_valid_ = false;
-  if (!saved_arrivals_.empty()) ++timing_epoch_;
   for (const auto& [g, a] : saved_arrivals_) {
     (void)a;
     arrival_saved_[g] = false;
-    arrival_stamp_[g] = timing_epoch_;
   }
   for (std::size_t i = 0; i < saved_net_count_; ++i) {
     net_saved_[saved_nets_[i].first] = false;
@@ -599,23 +590,20 @@ std::size_t Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_i
     queued_.resize(n, 0);
     arrival_saved_.resize(n, false);
     net_saved_.resize(n, false);
-    arrival_stamp_.resize(n, timing_epoch_);
     pin_delay_.resize(n * pin_stride_, 0.0);
   }
   std::size_t bytes = 0;
   // The caller ships arrival ids sorted and deduplicated (the delta-sync
   // dedup pass); commits touch contiguous cone slices, so compact the list
-  // into maximal consecutive runs and move each with one bulk copy of the
-  // arrival and stamp rows instead of a per-id scatter.
+  // into maximal consecutive runs and move each with one bulk copy instead
+  // of a per-id scatter.
   for (std::size_t i = 0; i < arrival_ids.size();) {
     std::size_t j = i + 1;
     while (j < arrival_ids.size() && arrival_ids[j] == arrival_ids[j - 1] + 1) ++j;
     const GateId first = arrival_ids[i];
     const std::size_t run = j - i;
     std::copy_n(other.arrival_.begin() + first, run, arrival_.begin() + first);
-    std::copy_n(other.arrival_stamp_.begin() + first, run,
-                arrival_stamp_.begin() + first);
-    bytes += run * (sizeof(RiseFall) + sizeof(std::uint64_t));
+    bytes += run * sizeof(RiseFall);
     i = j;
   }
   for (const GateId d : net_ids) {
@@ -625,53 +613,62 @@ std::size_t Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_i
     }
     bytes += sizeof(StarNet) + nets_[d].branches.size() * sizeof(StarBranch);
   }
+  // Levels and margins whole: one commit that moves a primary output's
+  // arrival shifts ceilings all the way upstream, so slices would not pay.
+  // Their 20 B per gate do not scale with the commits and stay out of the
+  // byte estimate, which gauges the journal.
+  level_ = other.level_;
+  req_damp_ = other.req_damp_;
+  margins_valid_ = other.margins_valid_;
+  size_worklist(other.buckets_.size());
   critical_delay_ = other.critical_delay_;
   required_time_ = other.required_time_;
-  timing_epoch_ = other.timing_epoch_;
   state_version_ = other.state_version_;
   required_valid_ = false;
-  margins_valid_ = false;
   return bytes;
 }
 
-void Sta::refresh_required() {
-  required_.assign(net_.id_bound(), RiseFall{kInf, kInf});
-  const std::vector<GateId> order = reverse_topological_order(net_);
-  for (const GateId po : net_.primary_outputs()) {
-    required_[po] = RiseFall{required_time_, required_time_};
-  }
-  for (const GateId g : order) {
-    const GateType t = net_.type(g);
-    if (t == GateType::Output) {
-      // Push through the wire onto the driver below (handled at driver).
-      continue;
-    }
-    // required at g's output = min over sink pins of
-    //   (required at sink output - sink arc delay - wire delay to the pin).
-    RiseFall req = required_[g];  // POs already seeded; others start at +inf
+void Sta::backward_required(std::span<const GateId> topo_order,
+                            std::vector<RiseFall>& req) const {
+  for (auto it = topo_order.rbegin(); it != topo_order.rend(); ++it) {
+    const GateId g = *it;
+    // An Output keeps its seed; the driver below reads it through the wire.
+    if (net_.type(g) == GateType::Output) continue;
+    // req at g's output = min over sink pins of
+    //   (req at sink output - sink arc delay - wire delay to the pin).
+    RiseFall r{kInf, kInf};
     for (const Pin& pin : net_.fanouts(g)) {
       const GateId h = pin.gate;
       const double wire = pin_delay_[pin.gate * pin_stride_ + pin.index];
       RiseFall through{kInf, kInf};
       if (net_.type(h) == GateType::Output) {
-        through = required_[h];
+        through = req[h];
       } else {
         const std::int32_t ci = net_.cell(h);
         RAPIDS_ASSERT(ci >= 0);
         const RiseFall d = gate_delay(lib_.cell(ci), nets_[h].total_cap());
-        accumulate_arc_required(arc_sense(net_.type(h)), required_[h], d, through);
+        accumulate_arc_required(arc_sense(net_.type(h)), req[h], d, through);
       }
-      req.rise = std::min(req.rise, through.rise - wire);
-      req.fall = std::min(req.fall, through.fall - wire);
+      r.rise = std::min(r.rise, through.rise - wire);
+      r.fall = std::min(r.fall, through.fall - wire);
     }
-    required_[g] = req;
+    req[g] = r;
   }
+}
+
+void Sta::refresh_required() {
+  required_.assign(net_.id_bound(), RiseFall{kInf, kInf});
+  for (const GateId po : net_.primary_outputs()) {
+    required_[po] = RiseFall{required_time_, required_time_};
+  }
+  backward_required(topological_order(net_), required_);
   required_valid_ = true;
 }
 
 void Sta::refresh_damping_margins() {
   RAPIDS_ASSERT_MSG(!in_txn_, "margin refresh requires a committed fixed point");
   const std::size_t n = arrival_.size();
+  const std::vector<GateId> order = topological_order(net_);
   // Forward levels, strict through Output gates (unlike logic_levels, which
   // lets an Output share its driver's level): the damping guard needs
   // level(u) < level(v) for EVERY edge u→v so "no seed at level >= mine"
@@ -680,7 +677,7 @@ void Sta::refresh_damping_margins() {
   // commits since the last computation.
   level_.assign(n, kUnlevelled);
   int max_level = 0;
-  for (const GateId g : topological_order(net_)) {
+  for (const GateId g : order) {
     level_[g] = forward_level(g);
     max_level = std::max(max_level, level_[g]);
   }
@@ -706,27 +703,7 @@ void Sta::refresh_damping_margins() {
     req_damp_[po] = RiseFall{arrival_[po].rise - kDampGuard,
                              arrival_[po].fall - kDampGuard};
   }
-  for (const GateId g : reverse_topological_order(net_)) {
-    const GateType t = net_.type(g);
-    if (t == GateType::Output) continue;
-    RiseFall req{kInf, kInf};
-    for (const Pin& pin : net_.fanouts(g)) {
-      const GateId h = pin.gate;
-      const double wire = pin_delay_[pin.gate * pin_stride_ + pin.index];
-      RiseFall through{kInf, kInf};
-      if (net_.type(h) == GateType::Output) {
-        through = req_damp_[h];
-      } else {
-        const std::int32_t ci = net_.cell(h);
-        RAPIDS_ASSERT(ci >= 0);
-        const RiseFall d = gate_delay(lib_.cell(ci), nets_[h].total_cap());
-        accumulate_arc_required(arc_sense(net_.type(h)), req_damp_[h], d, through);
-      }
-      req.rise = std::min(req.rise, through.rise - wire);
-      req.fall = std::min(req.fall, through.fall - wire);
-    }
-    req_damp_[g] = req;
-  }
+  backward_required(order, req_damp_);
   margins_valid_ = true;
   ++margin_refreshes_;
 }

@@ -48,7 +48,8 @@ class Sta {
       const StaOptions& options, DeferInit);
 
   /// Adopt another Sta's entire computed state (net caches, arrivals,
-  /// required times, critical delay) byte-for-byte. Both analyses must be
+  /// required times, critical delay, levels and damping margins)
+  /// byte-for-byte. Both analyses must be
   /// outside transactions and bound to structurally identical networks
   /// (same id_bound; the source's state must be valid for this network's
   /// topology — a fresh clone qualifies). This is the parallel scheduler's
@@ -150,10 +151,12 @@ class Sta {
   //     arrival, deferred gates are re-pushed and the worklist completes
   //     undamped — deferred gates stored nothing, so this is exact).
   //
-  // Margins are invalidated by any state-changing commit(), run_full(),
-  // copy_state_from() and adopt_delta(); rollback() restores state exactly
-  // and leaves them valid. Commits must run with damping inactive so the
-  // stored inter-transaction state is always the true fixed point.
+  // Margins are invalidated by any state-changing commit() and by
+  // run_full(); rollback() restores state exactly and leaves them valid.
+  // copy_state_from() and adopt_delta() adopt the source's margins, valid
+  // or not, so a replica damps exactly as its source would. Commits must
+  // run with damping inactive so the stored inter-transaction state is
+  // always the true fixed point.
 
   /// Arm/disarm margin damping for subsequent propagate() calls. Damping
   /// only engages while margins_valid(); callers (the engine probe path)
@@ -165,8 +168,9 @@ class Sta {
   /// bit-identical. Throws InternalError on mismatch.
   void set_damp_diff(bool on) { damp_diff_ = on; }
   /// Recompute per-gate damping ceilings and forward levels from the
-  /// current (committed, fixed-point) state. O(n) forward and reverse pass;
-  /// call at round granularity, never per-probe.
+  /// current (committed, fixed-point) state. One topological order, walked
+  /// forward for levels and backward for ceilings; call at round
+  /// granularity, never per-probe.
   void refresh_damping_margins();
   bool margins_valid() const { return margins_valid_; }
   /// Gate g's PO-seeded ceiling from the last refresh_damping_margins()
@@ -189,7 +193,7 @@ class Sta {
   std::uint64_t damp_fallbacks() const { return damp_fallbacks_; }
   std::uint64_t margin_refreshes() const { return margin_refreshes_; }
 
-  // --- delta replica sync & slack epochs -----------------------------------
+  // --- delta replica sync ---------------------------------------------------
 
   /// Monotonic counter bumped by every run_full(). Delta replica sync is
   /// only valid while the source's version matches the one captured at the
@@ -197,16 +201,6 @@ class Sta {
   /// was rebuilt wholesale and the replica must fall back to
   /// copy_state_from().
   std::uint64_t state_version() const { return state_version_; }
-
-  /// Timing epoch / per-gate arrival stamps. The epoch advances whenever a
-  /// committed transaction changed any arrival (and on run_full);
-  /// arrival_stamp(g) is the epoch of the last committed change to g's
-  /// arrival. Candidate caches key arrival-gap pruning decisions on these
-  /// to detect "slack context unchanged" without comparing floats.
-  std::uint64_t timing_epoch() const { return timing_epoch_; }
-  std::uint64_t arrival_stamp(GateId g) const {
-    return g < arrival_stamp_.size() ? arrival_stamp_[g] : timing_epoch_;
-  }
 
   /// While inside a transaction, append the ids whose arrivals (resp. star
   /// nets) the transaction has modified so far — exactly the state a
@@ -218,10 +212,13 @@ class Sta {
 
   /// Adopt only the listed slices of `other`'s state (plus scalars):
   /// arrivals for arrival_ids, star nets and their pin-delay rows for
-  /// net_ids. Both analyses must be outside transactions, pin strides must
-  /// match, and the underlying networks must already be structurally
-  /// identical (delta-adopt the network first). Required times become
-  /// stale. Returns an estimate of the bytes copied.
+  /// net_ids — and the whole level and damping-margin arrays, since a
+  /// commit that moves any primary-output arrival shifts the ceilings all
+  /// the way upstream. Both analyses must be outside transactions, pin
+  /// strides must match, and the underlying networks must already be
+  /// structurally identical (delta-adopt the network first). Required
+  /// times become stale. Returns an estimate of the bytes the journal
+  /// slices copied (the whole-array copies are not counted).
   std::size_t adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
                           std::span<const GateId> net_ids);
 
@@ -234,6 +231,13 @@ class Sta {
   void save_arrival(GateId g);
   void save_net(GateId driver);
   double recompute_critical() const;
+  /// The backward min-over-fanouts recurrence shared by refresh_required
+  /// and refresh_damping_margins: walking `reverse_order` (fanouts before
+  /// fanins), set req[g] for every non-Output gate to the min over its
+  /// sink pins of (req at the sink, back through the sink's arc and the
+  /// wire). Output gates keep the seeds the caller wrote.
+  void backward_required(std::span<const GateId> reverse_order,
+                         std::vector<RiseFall>& req) const;
   /// Record a transaction seed's forward level into txn_max_dirty_level_
   /// (gates minted in the transaction have none and are skipped).
   void note_dirty_level(GateId g);
@@ -270,7 +274,7 @@ class Sta {
 
   // Damped-propagation state. req_damp_ is computed by
   // refresh_damping_margins(); level_ by run_full() and again by every
-  // refresh (copy_state_from copies it). Ids that were not live gates at
+  // refresh (copy_state_from and adopt_delta copy both). Ids that were not live gates at
   // the last computation (tombstones, and slots grown since for mid-txn
   // inverters) read never-suppress sentinels, and propagate() buckets them
   // after their fanins; committed rewiring leaves level_ stale until the
@@ -289,8 +293,6 @@ class Sta {
   std::uint64_t damp_fallbacks_ = 0;
   std::uint64_t margin_refreshes_ = 0;
   std::uint64_t state_version_ = 0;
-  std::uint64_t timing_epoch_ = 0;
-  std::vector<std::uint64_t> arrival_stamp_;
 
   // Transaction journal. All scratch storage is reused across transactions
   // (saved_nets_ keeps a live prefix of saved_net_count_ entries so the

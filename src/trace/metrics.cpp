@@ -162,7 +162,6 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
   reg.add_counter("engine.canonicalize_calls", r.canonicalize_calls);
   reg.add_counter("engine.gates_canonicalized", r.gates_canonicalized);
   reg.add_counter("engine.candidates_enumerated", r.candidates_enumerated);
-  reg.add_counter("engine.pruned_groups_cached", r.pruned_groups_cached);
 
   // Scheduler round/arbitration counters.
   reg.add_counter("scheduler.rounds", r.sched_rounds);

@@ -2,7 +2,7 @@
 // clone path (network bytes, STA state, placement — a fresh context's first
 // sync is always a full clone, so it is the reference), multi-epoch
 // catch-up through the journal, fallback after out-of-band run_full, the
-// replica staleness predicate (mid-epoch run_full),
+// replica staleness predicate (mid-epoch run_full), damping-margin adoption,
 // exact sync counters on a hand-counted trace, and the flow-level
 // guarantees — threads 1 (never syncs) vs N (delta syncs) bit-identity on
 // generated circuits, and swap-cache self-check.
@@ -110,7 +110,7 @@ TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
                                            cands.size()]));
     ++commits;
     delta_ctx.sync(f.engine);
-    ASSERT_TRUE(delta_ctx.synced_to(f.engine.epoch()));
+    ASSERT_TRUE(delta_ctx.in_sync_with(f.engine));
     expect_matches_fresh_clone(delta_ctx, f.engine);
     EXPECT_EQ(blif_of(delta_ctx.replica_net()), blif_of(f.net));
     EXPECT_EQ(delta_ctx.replica_sta().critical_delay(), f.sta.critical_delay());
@@ -140,7 +140,7 @@ TEST(DeltaSync, LaggingReplicaCatchesUpOverMultipleEpochs) {
     // several journal marks at once.
     if (commits % 3 == 0) {
       lag_ctx.sync(f.engine);
-      ASSERT_TRUE(lag_ctx.synced_to(f.engine.epoch()));
+      ASSERT_TRUE(lag_ctx.in_sync_with(f.engine));
       expect_matches_fresh_clone(lag_ctx, f.engine);
     }
   }
@@ -161,7 +161,7 @@ TEST(DeltaSync, FallsBackToFullSyncAfterOutOfBandRunFull) {
   // next sync must take the full path and still land bit-exact.
   f.sta.run_full();
   ctx.sync(f.engine);
-  ASSERT_TRUE(ctx.synced_to(f.engine.epoch()));
+  ASSERT_TRUE(ctx.in_sync_with(f.engine));
   EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
   const ReplicaSyncStats st = ctx.take_sync_stats();
@@ -180,14 +180,54 @@ TEST(ProbeContextSync, RunFullInsideEpochBreaksInSyncWith) {
   ctx.sync(f.engine);
   EXPECT_TRUE(ctx.in_sync_with(f.engine));
 
+  const std::uint64_t epoch = f.engine.epoch();
   f.sta.run_full();
-  EXPECT_TRUE(ctx.synced_to(f.engine.epoch()));  // epoch alone says "fresh"
-  EXPECT_FALSE(ctx.in_sync_with(f.engine));      // state version says stale
+  EXPECT_EQ(f.engine.epoch(), epoch);        // the epoch alone says "fresh"
+  EXPECT_FALSE(ctx.in_sync_with(f.engine));  // the state version says stale
 
   ctx.sync(f.engine);  // must fall back to the full path and land bit-exact
   EXPECT_TRUE(ctx.in_sync_with(f.engine));
   EXPECT_EQ(blif_of(ctx.replica_net()), blif_of(f.net));
   EXPECT_EQ(ctx.replica_sta().critical_delay(), f.sta.critical_delay());
+}
+
+// --- damping margins ---------------------------------------------------------
+
+/// Assert the replica holds the live engine's damping margins bit for bit
+/// without having refreshed any of its own.
+void expect_margins_adopted(const ProbeContext& ctx, const Sta& live) {
+  const Sta& replica = ctx.replica_sta();
+  ASSERT_TRUE(live.margins_valid());
+  EXPECT_TRUE(replica.margins_valid());
+  EXPECT_EQ(replica.margin_refreshes(), 0u);
+  ASSERT_EQ(replica.arrivals().size(), live.arrivals().size());
+  for (GateId g = 0; g < live.arrivals().size(); ++g) {
+    EXPECT_EQ(replica.damping_ceiling(g).rise, live.damping_ceiling(g).rise)
+        << "ceiling mismatch at gate " << g;
+    EXPECT_EQ(replica.damping_ceiling(g).fall, live.damping_ceiling(g).fall)
+        << "ceiling mismatch at gate " << g;
+  }
+}
+
+TEST(ProbeContextSync, ReplicaAdoptsLiveDampingMarginsOnBothSyncPaths) {
+  LiveFixture f(4242);
+  ProbeContext ctx(lib035());
+  f.engine.refresh_timing_margins();
+  ctx.sync(f.engine);  // full: the first sync clones
+  expect_margins_adopted(ctx, f.sta);
+
+  const std::vector<SwapCandidate> cands =
+      enumerate_all_swaps(f.engine.partition(), f.net);
+  ASSERT_FALSE(cands.empty());
+  f.engine.commit(EngineMove::swap(cands[0]));
+  EXPECT_FALSE(f.sta.margins_valid());
+  f.engine.refresh_timing_margins();
+  ctx.sync(f.engine);  // delta: replays the commit's journal
+  expect_margins_adopted(ctx, f.sta);
+
+  const ReplicaSyncStats s = ctx.take_sync_stats();
+  EXPECT_EQ(s.full_syncs, 1u);
+  EXPECT_EQ(s.delta_syncs, 1u);
 }
 
 // --- exact replica-sync counters ---------------------------------------------
@@ -315,9 +355,10 @@ TEST(DeltaSyncFlowSlow, DeltaOnOffProduceIdenticalNetlists) {
 }
 
 TEST(DeltaSyncFlowSlow, PruneCacheOnOffProduceIdenticalNetlists) {
-  // Self-check re-enumerates every swap list the per-slot cache serves —
-  // slack-epoch pruned lists included — and throws on any difference; the
-  // re-enumeration must not change the netlist either.
+  // Self-check re-enumerates every swap list the per-slot cache serves and
+  // throws on any difference; the re-enumeration must not change the
+  // netlist or the optimizer's own work either. Lists truncated at the cap
+  // are never cached, so a hot truncated slot is enumerated every round.
   const Network src = testing::random_mapped_network(55);
 
   FlowOptions base;
@@ -334,8 +375,8 @@ TEST(DeltaSyncFlowSlow, PruneCacheOnOffProduceIdenticalNetlists) {
   const ModeRun plain = run_mode(prepared, lib035(), OptMode::GsgPlusGS, base);
   ModeRun on;
   ASSERT_NO_THROW(on = run_mode(prepared, lib035(), OptMode::GsgPlusGS, checked));
-  EXPECT_GT(on.result.pruned_groups_cached, 0u);
-  EXPECT_EQ(on.result.pruned_groups_cached, plain.result.pruned_groups_cached);
+  EXPECT_GT(plain.result.candidates_enumerated, 0u);
+  EXPECT_EQ(on.result.candidates_enumerated, plain.result.candidates_enumerated);
   // Self-check also probes every move slack gating skips; those reference
   // probes are not the optimizer's and stay out of `probes`.
   EXPECT_EQ(on.result.probes, plain.result.probes);

@@ -164,7 +164,7 @@ TEST(ProbeContext, ReplicaProbesMatchLiveEngine) {
 
   ProbeContext ctx(lib035());
   ctx.sync(engine);
-  ASSERT_TRUE(ctx.synced_to(engine.epoch()));
+  ASSERT_TRUE(ctx.in_sync_with(engine));
 
   // State adoption is byte-exact: every arrival matches bit for bit.
   const auto live_arr = sta.arrivals();
@@ -287,15 +287,15 @@ void expect_thread_count_identity(const char* name, const PreparedCircuit& prepa
     EXPECT_EQ(ref.result.final_delay, r.result.final_delay) << cfg;
     // Every round is a barrier and each group's probes are a pure function
     // of the live state, so the work counters are thread-invariant too.
-    // That includes the propagation shape: replicas probe right after
-    // their margin refresh, as the live engine does after its own, so both
-    // walk the same levels, and the level-ordered worklist recomputes each
-    // gate after its fanins whatever the fanout order. margin_refreshes is
-    // the exception: each replica refreshes once per round.
+    // That includes the propagation shape: replicas adopt the live
+    // engine's levels and margins, so both walk the same levels, and the
+    // level-ordered worklist recomputes each gate after its fanins whatever
+    // the fanout order. Only the live engine refreshes margins.
     EXPECT_EQ(ref.result.probes, r.result.probes) << cfg;
     EXPECT_EQ(ref.result.gates_propagated, r.result.gates_propagated) << cfg;
     EXPECT_EQ(ref.result.damp_cutoffs, r.result.damp_cutoffs) << cfg;
     EXPECT_EQ(ref.result.damp_fallbacks, r.result.damp_fallbacks) << cfg;
+    EXPECT_EQ(ref.result.margin_refreshes, r.result.margin_refreshes) << cfg;
     EXPECT_EQ(ref.result.candidates_enumerated, r.result.candidates_enumerated) << cfg;
     EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
     EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;

@@ -140,19 +140,6 @@ TEST_P(SwapEquivalence, AllEnumeratedSwapsAreSound) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SwapEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
 
-TEST(Swap, CleanupRemovesDoubleInverters) {
-  NetworkBuilder b;
-  const GateId x = b.input("x"), y = b.input("y");
-  const GateId i1 = b.inv(x);
-  const GateId i2 = b.inv(i1);
-  b.output("f", b.and_({i2, y}));
-  Network net = b.take();
-  const Network golden = net.clone();
-  const std::size_t removed = cleanup_after_swap(net);
-  EXPECT_EQ(removed, 2u);
-  EXPECT_TRUE(check_equivalence(golden, net).equivalent);
-}
-
 // --- cross-supergate swaps (Theorem 2 / Fig. 3) -----------------------------
 
 TEST(CrossSg, Figure3Exchange) {

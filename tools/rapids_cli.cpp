@@ -228,8 +228,8 @@ int cmd_flow(const std::vector<std::string>& args) {
             << (r.partition.full_rebuilds == 1 ? "" : "s") << "\n";
   // Every bucket is disjoint (sync is quoted inside probe, not added), so
   // the sum tracks the optimize total; the optimizer itself warns when the
-  // unattributed remainder exceeds 5%. Margin refresh time spans two
-  // buckets and is quoted on the timing line instead.
+  // unattributed remainder exceeds 5%. Margin refresh time is a subset of
+  // groups and is quoted on the timing line instead.
   std::cout << "phases: setup " << r.seconds_setup << " s, groups "
             << r.seconds_groups << " s, probe " << r.seconds_probe
             << " s (incl. sync " << r.seconds_sync << " s), arbitrate "
@@ -242,8 +242,7 @@ int cmd_flow(const std::vector<std::string>& args) {
   }
   std::cout << "scale: " << r.canonicalize_calls << " canonicalize calls / "
             << r.gates_canonicalized << " gates re-sorted after setup, "
-            << r.candidates_enumerated << " swap candidates enumerated, "
-            << r.pruned_groups_cached << " pruned lists served by slack epoch; "
+            << r.candidates_enumerated << " swap candidates enumerated; "
             << "replica sync " << r.replica_delta_syncs << " delta ("
             << r.replica_sync_bytes_delta << " B over " << r.replica_delta_commits
             << " commits) / " << r.replica_full_syncs << " full ("
@@ -261,9 +260,7 @@ int cmd_flow(const std::vector<std::string>& args) {
                       : 0.0)
               << "%), " << r.damp_fallbacks << " undamped replays, "
               << r.margin_refreshes << " margin refreshes ("
-              << r.seconds_timing
-              << " s: the live engine's inside groups, the replicas' summed "
-                 "over workers inside probe)\n";
+              << r.seconds_timing << " s inside groups)\n";
   }
   if (options.opt.paranoid) {
     std::cout << "paranoid: " << r.moves_proved
