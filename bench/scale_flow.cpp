@@ -60,6 +60,7 @@ struct SizePoint {
   std::uint64_t full_syncs = 0;
   std::uint64_t delta_commits = 0;
   std::uint64_t sync_bytes_delta = 0;
+  std::uint64_t sync_bytes_margins = 0;  // level/margin arrays, O(network) per sync
   std::uint64_t sync_bytes_full = 0;
   double sync_bytes_per_epoch = 0.0;   // delta path, averaged per delta sync
   double sync_bytes_per_commit = 0.0;  // delta path, per commit epoch spanned
@@ -115,6 +116,7 @@ SizePoint measure(std::size_t target, std::uint64_t seed, int threads, int iters
   pt.delta_syncs = r.replica_delta_syncs;
   pt.full_syncs = r.replica_full_syncs;
   pt.sync_bytes_delta = r.replica_sync_bytes_delta;
+  pt.sync_bytes_margins = r.replica_sync_bytes_margins;
   pt.sync_bytes_full = r.replica_sync_bytes_full;
   pt.delta_commits = r.replica_delta_commits;
   if (r.replica_delta_syncs > 0) {
@@ -253,6 +255,7 @@ int main(int argc, char** argv) {
          << ", \"full_syncs\": " << p.full_syncs
          << ", \"delta_commits_covered\": " << p.delta_commits
          << ", \"bytes_delta_total\": " << p.sync_bytes_delta
+         << ", \"bytes_margins_total\": " << p.sync_bytes_margins
          << ", \"bytes_full_total\": " << p.sync_bytes_full
          << ", \"bytes_per_epoch\": " << p.sync_bytes_per_epoch
          << ", \"bytes_per_commit\": " << p.sync_bytes_per_commit

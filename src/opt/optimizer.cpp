@@ -183,6 +183,7 @@ class Optimizer {
     result.replica_delta_commits = sched.sync.delta_commits;
     result.replica_sync_bytes_full = sched.sync.bytes_full;
     result.replica_sync_bytes_delta = sched.sync.bytes_delta;
+    result.replica_sync_bytes_margins = sched.sync.bytes_margins;
     result.canonicalize_calls = net_.canonicalize_calls() - canon_calls_base;
     result.gates_canonicalized = net_.gates_canonicalized() - canon_gates_base;
     result.candidates_enumerated = candidates_enumerated_;

@@ -176,6 +176,9 @@ struct OptimizerResult {
   std::uint64_t replica_delta_commits = 0;
   std::uint64_t replica_sync_bytes_full = 0;
   std::uint64_t replica_sync_bytes_delta = 0;
+  /// What delta syncs copy whole besides the journal: the level and
+  /// damping-margin arrays (20 B per gate per sync, O(network)).
+  std::uint64_t replica_sync_bytes_margins = 0;
   /// Commit-path O(dirty) counters, measured AFTER the setup extraction so
   /// they reflect steady-state per-commit cost: fanout-order canonicalize
   /// passes and gates actually re-sorted; swap candidates materialized by

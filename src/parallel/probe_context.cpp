@@ -64,8 +64,9 @@ void ProbeContext::sync(RewireEngine& source) {
           pl_.unset(g);
         }
       }
-      bytes += sta_->adopt_delta(source.sta(), delta_arr_, delta_nets_);
-      sync_stats_.bytes_delta += bytes;
+      const Sta::DeltaBytes sta_bytes = sta_->adopt_delta(source.sta(), delta_arr_, delta_nets_);
+      sync_stats_.bytes_delta += bytes + sta_bytes.slices;
+      sync_stats_.bytes_margins += sta_bytes.whole;
       // One epoch per commit: the span is the per-commit denominator for
       // the O(dirty) gauge in bench/scale_flow.
       sync_stats_.delta_commits += source.epoch() - epoch_;

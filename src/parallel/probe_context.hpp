@@ -38,6 +38,7 @@ struct ReplicaSyncStats {
   std::uint64_t delta_commits = 0;  // commit epochs the delta syncs spanned
   std::uint64_t bytes_full = 0;     // estimated bytes moved by full syncs
   std::uint64_t bytes_delta = 0;    // estimated bytes moved by delta syncs
+  std::uint64_t bytes_margins = 0;  // level/margin arrays delta syncs copy whole
   double seconds = 0.0;             // wall time inside sync()
 
   ReplicaSyncStats& operator+=(const ReplicaSyncStats& o) {
@@ -47,6 +48,7 @@ struct ReplicaSyncStats {
     delta_commits += o.delta_commits;
     bytes_full += o.bytes_full;
     bytes_delta += o.bytes_delta;
+    bytes_margins += o.bytes_margins;
     seconds += o.seconds;
     return *this;
   }

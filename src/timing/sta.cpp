@@ -568,8 +568,8 @@ void Sta::append_txn_changed_ids(std::vector<GateId>& arrival_ids,
   }
 }
 
-std::size_t Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
-                             std::span<const GateId> net_ids) {
+Sta::DeltaBytes Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
+                                 std::span<const GateId> net_ids) {
   RAPIDS_ASSERT_MSG(!in_txn_ && !other.in_txn_,
                     "adopt_delta requires both analyses outside transactions");
   RAPIDS_ASSERT_MSG(pin_stride_ == other.pin_stride_,
@@ -615,8 +615,8 @@ std::size_t Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_i
   }
   // Levels and margins whole: one commit that moves a primary output's
   // arrival shifts ceilings all the way upstream, so slices would not pay.
-  // Their 20 B per gate do not scale with the commits and stay out of the
-  // byte estimate, which gauges the journal.
+  // Counted apart from the slices: they scale with the network, not the
+  // commits.
   level_ = other.level_;
   req_damp_ = other.req_damp_;
   margins_valid_ = other.margins_valid_;
@@ -625,7 +625,7 @@ std::size_t Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_i
   required_time_ = other.required_time_;
   state_version_ = other.state_version_;
   required_valid_ = false;
-  return bytes;
+  return {bytes, level_.size() * sizeof(int) + req_damp_.size() * sizeof(RiseFall)};
 }
 
 void Sta::backward_required(std::span<const GateId> topo_order,

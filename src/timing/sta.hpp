@@ -217,10 +217,13 @@ class Sta {
   /// the way upstream. Both analyses must be outside transactions, pin
   /// strides must match, and the underlying networks must already be
   /// structurally identical (delta-adopt the network first). Required
-  /// times become stale. Returns an estimate of the bytes the journal
-  /// slices copied (the whole-array copies are not counted).
-  std::size_t adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
-                          std::span<const GateId> net_ids);
+  /// times become stale.
+  struct DeltaBytes {
+    std::size_t slices = 0;  // journal slices: O(dirty)
+    std::size_t whole = 0;   // level and margin arrays: O(network)
+  };
+  DeltaBytes adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
+                         std::span<const GateId> net_ids);
 
  private:
   /// Extend id-indexed state for gates created mid-transaction (inverters
@@ -232,11 +235,12 @@ class Sta {
   void save_net(GateId driver);
   double recompute_critical() const;
   /// The backward min-over-fanouts recurrence shared by refresh_required
-  /// and refresh_damping_margins: walking `reverse_order` (fanouts before
-  /// fanins), set req[g] for every non-Output gate to the min over its
-  /// sink pins of (req at the sink, back through the sink's arc and the
-  /// wire). Output gates keep the seeds the caller wrote.
-  void backward_required(std::span<const GateId> reverse_order,
+  /// and refresh_damping_margins: walking the forward topological order
+  /// `topo_order` backwards (fanouts before fanins), set req[g] for every
+  /// non-Output gate to the min over its sink pins of (req at the sink,
+  /// back through the sink's arc and the wire). Output gates keep the
+  /// seeds the caller wrote.
+  void backward_required(std::span<const GateId> topo_order,
                          std::vector<RiseFall>& req) const;
   /// Record a transaction seed's forward level into txn_max_dirty_level_
   /// (gates minted in the transaction have none and are skipped).

@@ -184,6 +184,7 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
   reg.add_counter("sync.delta_commits", r.replica_delta_commits);
   reg.add_counter("sync.bytes_full", r.replica_sync_bytes_full);
   reg.add_counter("sync.bytes_delta", r.replica_sync_bytes_delta);
+  reg.add_counter("sync.bytes_margins", r.replica_sync_bytes_margins);
 
   // Partition maintenance.
   reg.add_counter("partition.full_rebuilds", r.partition.full_rebuilds);

@@ -123,6 +123,11 @@ TEST(DeltaSync, DeltaSyncedReplicaMatchesCloneSyncedAcrossEpochs) {
   EXPECT_GE(ds.delta_syncs, static_cast<std::uint64_t>(commits));
   EXPECT_EQ(ds.full_syncs, 1u);
   EXPECT_GT(ds.bytes_delta, 0u);
+  // Every delta sync copies the level and margin arrays whole, sized at
+  // most to the live arrays' final size.
+  EXPECT_GT(ds.bytes_margins, 0u);
+  EXPECT_LE(ds.bytes_margins,
+            ds.delta_syncs * f.sta.arrivals().size() * (sizeof(int) + sizeof(RiseFall)));
 }
 
 TEST(DeltaSync, LaggingReplicaCatchesUpOverMultipleEpochs) {

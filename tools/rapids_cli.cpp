@@ -245,7 +245,8 @@ int cmd_flow(const std::vector<std::string>& args) {
             << r.candidates_enumerated << " swap candidates enumerated; "
             << "replica sync " << r.replica_delta_syncs << " delta ("
             << r.replica_sync_bytes_delta << " B over " << r.replica_delta_commits
-            << " commits) / " << r.replica_full_syncs << " full ("
+            << " commits, + " << r.replica_sync_bytes_margins << " B margin arrays) / "
+            << r.replica_full_syncs << " full ("
             << r.replica_sync_bytes_full << " B)\n";
   // Propagation shape: how much of the structural fanout cone each probe
   // actually walked, and how much the slack-margin cutoff suppressed.
