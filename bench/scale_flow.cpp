@@ -1,14 +1,11 @@
 // Industrial-scale flow gauge (BENCH_scale.json).
 //
-// The tentpole claim: the per-commit costs of the parallel flow are
-// O(dirty), not O(network) — replica delta sync ships only committed
-// rounds' touched state, and fanout-order canonicalization re-sorts only
-// dirty gates. This bench runs the full flow (generate -> map -> place ->
-// optimize) over the synthetic large-circuit profile at several sizes and
-// reports, per size point:
+// Runs the full flow (generate -> map -> place -> optimize) over the
+// synthetic large-circuit profile at several sizes and reports, per size
+// point:
 //
-//   - per-epoch replica sync bytes (delta path's journal slices) next to
-//     what one full clone of the network would have cost,
+//   - replica sync: syncs, and bytes and seconds per sync (each sync copies
+//     the live state whole, so per-sync bytes track the network),
 //   - gates re-sorted per canonicalize pass after setup,
 //   - swap candidates enumerated,
 //   - timing propagation shape: gates propagated per probe and the
@@ -17,11 +14,11 @@
 //
 // The report opens with the shared `env` header (bench/bench_env.hpp).
 //
-// The acceptance gauge is the growth ratio of the per-commit quantities
-// from the smallest to the largest size point: O(dirty) costs stay
-// roughly flat (<= 2x) while the network grows 20x. The bench FAILS
-// (exit 1) when per-commit sync bytes grow as fast as the mapped network
-// itself — that would mean the delta path degenerated to O(network).
+// The acceptance gauge is the growth ratio of gates propagated per probe
+// from the smallest to the largest size point: probe cost tracks the
+// timing disturbance of a move, not the network. The bench FAILS (exit 1)
+// when it grows as fast as the mapped network itself — that would mean
+// probes degenerated to walking O(network) cones.
 //
 // Usage: scale_flow [--out BENCH_scale.json] [--sizes 10000,50000,...]
 //                   [--threads N] [--iters N] [--seed N]
@@ -56,15 +53,10 @@ struct SizePoint {
   double seconds_arbitrate = 0.0;
   double seconds_commit = 0.0;
   double seconds_sync = 0.0;
-  std::uint64_t delta_syncs = 0;
-  std::uint64_t full_syncs = 0;
-  std::uint64_t delta_commits = 0;
-  std::uint64_t sync_bytes_delta = 0;
-  std::uint64_t sync_bytes_margins = 0;  // level/margin arrays, O(network) per sync
-  std::uint64_t sync_bytes_full = 0;
-  double sync_bytes_per_epoch = 0.0;   // delta path, averaged per delta sync
-  double sync_bytes_per_commit = 0.0;  // delta path, per commit epoch spanned
-  double clone_bytes = 0.0;            // what one full sync ships instead
+  std::uint64_t syncs = 0;
+  std::uint64_t sync_bytes = 0;
+  double bytes_per_sync = 0.0;
+  double seconds_per_sync = 0.0;
   std::uint64_t canonicalize_calls = 0;
   std::uint64_t gates_canonicalized = 0;
   double gates_canonicalized_per_call = 0.0;
@@ -113,23 +105,11 @@ SizePoint measure(std::size_t target, std::uint64_t seed, int threads, int iters
   pt.seconds_arbitrate = r.seconds_arbitrate;
   pt.seconds_commit = r.seconds_commit;
   pt.seconds_sync = r.seconds_sync;
-  pt.delta_syncs = r.replica_delta_syncs;
-  pt.full_syncs = r.replica_full_syncs;
-  pt.sync_bytes_delta = r.replica_sync_bytes_delta;
-  pt.sync_bytes_margins = r.replica_sync_bytes_margins;
-  pt.sync_bytes_full = r.replica_sync_bytes_full;
-  pt.delta_commits = r.replica_delta_commits;
-  if (r.replica_delta_syncs > 0) {
-    pt.sync_bytes_per_epoch = static_cast<double>(r.replica_sync_bytes_delta) /
-                              static_cast<double>(r.replica_delta_syncs);
-  }
-  if (r.replica_delta_commits > 0) {
-    pt.sync_bytes_per_commit = static_cast<double>(r.replica_sync_bytes_delta) /
-                               static_cast<double>(r.replica_delta_commits);
-  }
-  if (r.replica_full_syncs > 0) {
-    pt.clone_bytes = static_cast<double>(r.replica_sync_bytes_full) /
-                     static_cast<double>(r.replica_full_syncs);
+  pt.syncs = r.replica_full_syncs;
+  pt.sync_bytes = r.replica_sync_bytes_full;
+  if (pt.syncs > 0) {
+    pt.bytes_per_sync = static_cast<double>(pt.sync_bytes) / static_cast<double>(pt.syncs);
+    pt.seconds_per_sync = r.seconds_sync / static_cast<double>(pt.syncs);
   }
   pt.canonicalize_calls = r.canonicalize_calls;
   pt.gates_canonicalized = r.gates_canonicalized;
@@ -204,15 +184,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Growth of the per-commit O(dirty) quantities, smallest -> largest.
-  double sync_growth = 0.0, canon_growth = 0.0, size_growth = 0.0;
-  double probe_cost_growth = 0.0;
+  // Growth of the per-commit and per-probe quantities, smallest -> largest.
+  double canon_growth = 0.0, size_growth = 0.0, probe_cost_growth = 0.0;
   if (points.size() >= 2) {
     const SizePoint& lo = points.front();
     const SizePoint& hi = points.back();
-    if (lo.sync_bytes_per_commit > 0) {
-      sync_growth = hi.sync_bytes_per_commit / lo.sync_bytes_per_commit;
-    }
     if (lo.gates_canonicalized_per_call > 0) {
       canon_growth = hi.gates_canonicalized_per_call / lo.gates_canonicalized_per_call;
     }
@@ -231,7 +207,6 @@ int main(int argc, char** argv) {
        << "  \"iters\": " << iters << ",\n"
        << "  \"seed\": " << seed << ",\n"
        << "  \"network_size_growth\": " << size_growth << ",\n"
-       << "  \"sync_bytes_per_commit_growth\": " << sync_growth << ",\n"
        << "  \"gates_canonicalized_per_call_growth\": " << canon_growth << ",\n"
        << "  \"gates_propagated_per_probe_growth\": " << probe_cost_growth << ",\n"
        << "  \"points\": [\n";
@@ -251,15 +226,10 @@ int main(int argc, char** argv) {
          << ", \"commit\": " << p.seconds_commit
          << ", \"sync\": " << p.seconds_sync
          << ", \"margins\": " << p.seconds_timing << "},\n"
-         << "     \"replica_sync\": {\"delta_syncs\": " << p.delta_syncs
-         << ", \"full_syncs\": " << p.full_syncs
-         << ", \"delta_commits_covered\": " << p.delta_commits
-         << ", \"bytes_delta_total\": " << p.sync_bytes_delta
-         << ", \"bytes_margins_total\": " << p.sync_bytes_margins
-         << ", \"bytes_full_total\": " << p.sync_bytes_full
-         << ", \"bytes_per_epoch\": " << p.sync_bytes_per_epoch
-         << ", \"bytes_per_commit\": " << p.sync_bytes_per_commit
-         << ", \"clone_bytes\": " << p.clone_bytes << "},\n"
+         << "     \"replica_sync\": {\"syncs\": " << p.syncs
+         << ", \"bytes_total\": " << p.sync_bytes
+         << ", \"bytes_per_sync\": " << p.bytes_per_sync
+         << ", \"seconds_per_sync\": " << p.seconds_per_sync << "},\n"
          << "     \"commit_path\": {\"canonicalize_calls\": " << p.canonicalize_calls
          << ", \"gates_canonicalized\": " << p.gates_canonicalized
          << ", \"gates_per_call\": " << p.gates_canonicalized_per_call
@@ -284,15 +254,13 @@ int main(int argc, char** argv) {
   }
   std::cerr << "wrote " << out_path << "\n";
 
-  // O(dirty) acceptance check: per-commit sync bytes must grow strictly
-  // slower than the mapped network. A ratio at or above the size growth
-  // means the dedup+compacted delta journal degenerated to shipping
-  // O(network) state per commit.
-  if (points.size() >= 2 && sync_growth > 0.0 && size_growth > 0.0 &&
-      sync_growth >= size_growth) {
-    std::cerr << "FAIL: sync bytes_per_commit grew " << sync_growth
+  // Acceptance check: per-probe propagation cost must grow strictly slower
+  // than the mapped network.
+  if (points.size() >= 2 && probe_cost_growth > 0.0 && size_growth > 0.0 &&
+      probe_cost_growth >= size_growth) {
+    std::cerr << "FAIL: gates propagated per probe grew " << probe_cost_growth
               << "x while the network grew " << size_growth
-              << "x — the delta sync path is no longer O(dirty)\n";
+              << "x — probes walk O(network) cones\n";
     return 1;
   }
   return 0;

@@ -140,60 +140,6 @@ void RewireEngine::mark_commit_dirty(const EngineMove& move) {
   }
 }
 
-void RewireEngine::record_sync_journal(const EngineMove& move) {
-  // A partition awaiting a full rebuild marks an out-of-engine mutation
-  // (invalidate_partition) the journal cannot replay; replicas must
-  // full-sync until the next commit on a rebuilt partition.
-  if (!partition_valid_) {
-    sync_journal_valid_ = false;
-    return;
-  }
-  if (!sync_journal_valid_) {
-    sync_journal_valid_ = true;
-    sync_base_epoch_ = epoch_;  // pre-increment: this commit becomes epoch_+1
-    sync_gates_.clear();
-    sync_arr_.clear();
-    sync_nets_.clear();
-    sync_marks_.clear();
-  }
-  auto row = [this](GateId g) {
-    if (g != kNullGate) sync_gates_.push_back(g);
-  };
-  switch (move.kind) {
-    case EngineMove::Kind::Swap:
-      row(move.swap_cand.pin_a.gate);
-      row(move.swap_cand.pin_b.gate);
-      row(net_.driver_of(move.swap_cand.pin_a));
-      row(net_.driver_of(move.swap_cand.pin_b));
-      for (const GateId d : scratch_.swap_edit.dirty_nets) row(d);
-      for (const GateId g : scratch_.swap_edit.added_inverters) row(g);
-      break;
-    case EngineMove::Kind::Resize:
-      row(move.gate);  // cell binding changed
-      break;
-  }
-  sta_.append_txn_changed_ids(sync_arr_, sync_nets_);
-  sync_marks_.push_back({epoch_ + 1, static_cast<std::uint32_t>(sync_gates_.size()),
-                         static_cast<std::uint32_t>(sync_arr_.size()),
-                         static_cast<std::uint32_t>(sync_nets_.size())});
-}
-
-void RewireEngine::collect_sync_delta(std::uint64_t from_epoch,
-                                      std::vector<GateId>& gates,
-                                      std::vector<GateId>& arrivals,
-                                      std::vector<GateId>& nets) const {
-  RAPIDS_ASSERT_MSG(sync_delta_available(from_epoch),
-                    "collect_sync_delta outside the journal's window");
-  // One mark per commit since the journal (re)started: the suffix past
-  // `from_epoch` starts right after mark (from_epoch - base - 1).
-  const std::size_t skip = static_cast<std::size_t>(from_epoch - sync_base_epoch_);
-  RAPIDS_ASSERT(skip <= sync_marks_.size());
-  const SyncMark start = skip == 0 ? SyncMark{} : sync_marks_[skip - 1];
-  gates.insert(gates.end(), sync_gates_.begin() + start.gates_end, sync_gates_.end());
-  arrivals.insert(arrivals.end(), sync_arr_.begin() + start.arr_end, sync_arr_.end());
-  nets.insert(nets.end(), sync_nets_.begin() + start.nets_end, sync_nets_.end());
-}
-
 void RewireEngine::invalidate_dirty(ProbeScratch& scratch,
                                     std::span<const GateId> dirty) {
   // Deduplicate into the reusable scratch without sorting: dirty sets are
@@ -419,12 +365,9 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
     }
   }
   const EngineObjective obj{sta_.critical_delay(), sta_.sum_po_arrival()};
-  // Record the move's dirty region for incremental partition maintenance —
-  // and its replica-sync journal entry — BEFORE sta_.commit() clears the
-  // STA transaction's changed-id sets and count_commit detaches the edit
-  // records both read.
+  // Record the move's dirty region for incremental partition maintenance
+  // BEFORE count_commit detaches the edit records it reads.
   mark_commit_dirty(move);
-  record_sync_journal(move);
   sta_.commit();
   count_commit(move);
   // Committed inserts consumed reserve ids; top it back up HERE (commit
@@ -439,9 +382,6 @@ EngineObjective RewireEngine::commit(const EngineMove& move) {
 void RewireEngine::commit_and_revert(const EngineMove& move) {
   RAPIDS_ASSERT_MSG(move.kind == EngineMove::Kind::Swap,
                     "commit_and_revert supports swap moves");
-  // Bench-only path: commits without journal records; replicas (if any)
-  // must fall back to a full sync.
-  sync_journal_valid_ = false;
   sta_.begin();
   apply_swap_into(net_, placement_, lib_, move.swap_cand, scratch_.swap_edit);
   invalidate_dirty(scratch_, scratch_.swap_edit.dirty_nets);

@@ -182,7 +182,6 @@ class RewireEngine {
   void invalidate_partition() {
     partition_valid_ = false;
     pending_dirty_.clear();
-    sync_journal_valid_ = false;
     if (session_) session_->invalidate_all();
   }
 
@@ -192,7 +191,7 @@ class RewireEngine {
   /// canonically equal; every damped probe is replayed undamped (Sta
   /// damp-diff); in paranoid mode a per-move sat::WindowChecker proves each
   /// commit beside the proof session, which must prove every move the
-  /// reference proves. Replicas inherit the switch on full sync (their
+  /// reference proves. Replicas inherit the switch on their first sync (their
   /// probes replay undamped). Costly —
   /// tests, fuzzing and `flow --self-check` only.
   void set_self_check(bool on) {
@@ -208,27 +207,6 @@ class RewireEngine {
   /// Bumped by every commit. Moves remain probe/undo safe across epochs:
   /// they reference gates, which have stable ids.
   std::uint64_t epoch() const { return epoch_; }
-
-  // --- replica delta sync ---------------------------------------------------
-
-  /// True when the sync journal can replay every commit in (from_epoch,
-  /// epoch()] — i.e. a replica that last synced at `from_epoch` can adopt
-  /// the delta instead of re-cloning the whole network. False after
-  /// invalidate_partition() or commit_and_revert(); the journal restarts at
-  /// the next clean commit, so replicas pay one full sync and then return to deltas.
-  bool sync_delta_available(std::uint64_t from_epoch) const {
-    return sync_journal_valid_ && from_epoch >= sync_base_epoch_ &&
-           from_epoch <= epoch_;
-  }
-
-  /// Append the ids every commit in (from_epoch, epoch()] changed:
-  /// `gates` — structural rows (type/cell/fanins/fanouts) for
-  /// Network::adopt_structural_delta; `arrivals`/`nets` — the STA slices for
-  /// Sta::adopt_delta. Lists may repeat ids across commits; adoption is
-  /// idempotent.
-  void collect_sync_delta(std::uint64_t from_epoch, std::vector<GateId>& gates,
-                          std::vector<GateId>& arrivals,
-                          std::vector<GateId>& nets) const;
 
   // --- transactional move evaluation ---------------------------------------
 
@@ -318,10 +296,6 @@ class RewireEngine {
   /// into the pending dirty set consumed by the next partition() call.
   /// Must run before count_commit() detaches the edit records.
   void mark_commit_dirty(const EngineMove& move);
-  /// Append this commit's changed structural rows and STA transaction ids
-  /// to the replica sync journal. Must run while the STA transaction is
-  /// still open and before count_commit() detaches the edit records.
-  void record_sync_journal(const EngineMove& move);
   /// Paranoid mode: encode the pre-move window of the swap's observation
   /// root over the two rewired gates.
   void begin_paranoid_proof(const EngineMove& move);
@@ -353,24 +327,6 @@ class RewireEngine {
   std::uint64_t sta_seen_margin_refreshes_ = 0;
   /// Fold (sta counters − cursor) into stats_ and advance the cursor.
   void sample_sta_counters();
-
-  // Replica-sync journal: flat append-only per-commit records (structural
-  // rows, STA arrival/net ids) plus one end-offset mark per epoch.
-  // Replicas replay the suffix past their last-synced epoch; any event the
-  // journal cannot model (external mutation, reverted bench commits) simply
-  // invalidates it and the next sync falls back to the full clone path.
-  struct SyncMark {
-    std::uint64_t epoch = 0;
-    std::uint32_t gates_end = 0;
-    std::uint32_t arr_end = 0;
-    std::uint32_t nets_end = 0;
-  };
-  bool sync_journal_valid_ = false;
-  std::uint64_t sync_base_epoch_ = 0;
-  std::vector<GateId> sync_gates_;
-  std::vector<GateId> sync_arr_;
-  std::vector<GateId> sync_nets_;
-  std::vector<SyncMark> sync_marks_;
 
   // The engine's own probe/commit scratch (never shrinks; steady state
   // allocates nothing). External probe streams pass their own through

@@ -211,54 +211,6 @@ void Network::canonicalize_fanout_order() {
   fanout_dirty_list_.clear();
 }
 
-std::size_t Network::adopt_structural_delta(const Network& src,
-                                            std::span<const GateId> changed) {
-  RAPIDS_ASSERT_MSG(src.type_.size() >= type_.size(),
-                    "delta source must be the same network, later in time");
-  std::size_t bytes = 0;
-  const GateId old_bound = static_cast<GateId>(type_.size());
-  const GateId new_bound = static_cast<GateId>(src.type_.size());
-  if (new_bound > old_bound) {
-    type_.resize(new_bound, GateType::Buf);
-    cell_.resize(new_bound, -1);
-    deleted_.resize(new_bound, 1);
-    fanin_ref_.resize(new_bound);
-    fanout_ref_.resize(new_bound);
-    fanout_dirty_.resize(new_bound, 0);
-  }
-  auto copy_row = [&](GateId g) {
-    type_[g] = src.type_[g];
-    cell_[g] = src.cell_[g];
-    deleted_[g] = src.deleted_[g];
-    fanin_pool_.release(fanin_ref_[g]);
-    const ChunkRef& sfi = src.fanin_ref_[g];
-    const GateId* fi = src.fanin_pool_.at(sfi);
-    for (std::uint32_t i = 0; i < sfi.cnt; ++i) fanin_pool_.push(fanin_ref_[g], fi[i]);
-    fanout_pool_.release(fanout_ref_[g]);
-    const ChunkRef& sfo = src.fanout_ref_[g];
-    const Pin* fo = src.fanout_pool_.at(sfo);
-    for (std::uint32_t i = 0; i < sfo.cnt; ++i) fanout_pool_.push(fanout_ref_[g], fo[i]);
-    // The copied fanout order is src's CURRENT order, which may itself be
-    // non-canonical; conservatively mark it (harmless when already sorted).
-    if (!deleted_[g]) mark_fanout_order_dirty(g);
-    bytes += sizeof(GateType) + sizeof(std::int32_t) + 1 +
-             sfi.cnt * sizeof(GateId) + sfo.cnt * sizeof(Pin);
-  };
-  for (const GateId g : changed) {
-    RAPIDS_ASSERT(g < new_bound);
-    copy_row(g);
-  }
-  // Ids minted since the replica's snapshot (reserve_recycled_ids tops the
-  // free stack up after every commit): copy those rows wholesale.
-  for (GateId g = old_bound; g < new_bound; ++g) copy_row(g);
-  free_ids_ = src.free_ids_;
-  recycle_ids_ = src.recycle_ids_;
-  live_count_ = src.live_count_;
-  revision_ = src.revision_;
-  bytes += free_ids_.size() * sizeof(GateId);
-  return bytes;
-}
-
 void Network::set_type(GateId gate, GateType type) {
   check(gate);
   RAPIDS_ASSERT_MSG(is_logic(type_[gate]) && is_logic(type),

@@ -297,19 +297,6 @@ class Network {
   std::uint64_t canonicalize_calls() const { return canonicalize_calls_; }
   std::uint64_t gates_canonicalized() const { return gates_canonicalized_; }
 
-  /// Replica delta sync: make this network structurally identical to `src`
-  /// by copying only the listed gate rows (type, cell binding, tombstone
-  /// flag, fanin list, fanout list), extending the id space to src's bound
-  /// (rows minted since are copied wholesale), and adopting src's
-  /// recycled-id free stack. `this` must be a clone of an earlier state of
-  /// `src` whose every structurally changed gate since then appears in
-  /// `changed` (duplicates fine). Boundary (Input/Output) membership and
-  /// explicit names are NOT synced — commits never change the former, and
-  /// replicas never read the latter. Returns an estimate of the bytes
-  /// shipped (replica-sync accounting).
-  std::size_t adopt_structural_delta(const Network& src,
-                                     std::span<const GateId> changed);
-
  private:
   void check(GateId gate) const {
     RAPIDS_ASSERT_MSG(gate < type_.size(), "gate id out of range");

@@ -61,7 +61,7 @@ class Optimizer {
     // Verify-every-commit: each committed move is SAT-proved on its window
     // before it sticks, for every commit path (incl. parallel arbitration).
     engine_.set_paranoid(options.paranoid);
-    // Replicas inherit self-check through the probe contexts' full sync.
+    // Replicas inherit self-check at their probe context's first sync.
     engine_.set_self_check(options.self_check);
   }
 
@@ -179,11 +179,7 @@ class Optimizer {
     result.damp_fallbacks = stats.damp_fallbacks;
     result.margin_refreshes = stats.margin_refreshes;
     result.replica_full_syncs = sched.sync.full_syncs;
-    result.replica_delta_syncs = sched.sync.delta_syncs;
-    result.replica_delta_commits = sched.sync.delta_commits;
     result.replica_sync_bytes_full = sched.sync.bytes_full;
-    result.replica_sync_bytes_delta = sched.sync.bytes_delta;
-    result.replica_sync_bytes_margins = sched.sync.bytes_margins;
     result.canonicalize_calls = net_.canonicalize_calls() - canon_calls_base;
     result.gates_canonicalized = net_.gates_canonicalized() - canon_gates_base;
     result.candidates_enumerated = candidates_enumerated_;

@@ -35,11 +35,13 @@
 // locations; only inverters can be added or deleted (gsg modes).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "library/cell_library.hpp"
 #include "netlist/network.hpp"
+#include "parallel/scheduler.hpp"
 #include "place/placement.hpp"
 #include "sym/gisg.hpp"
 #include "timing/sta.hpp"
@@ -82,8 +84,8 @@ struct OptimizerOptions {
   /// from the per-slot cache vs re-enumeration; every move slack gating
   /// skips vs a live probe that must not lower either objective; damped
   /// probe timing vs an undamped replay; and (paranoid) the proof session
-  /// vs a per-move window solver. Replica delta sync is checked at flow
-  /// level by threads 1 vs N identity. The netlist is unchanged; only time
+  /// vs a per-move window solver. Replica sync is checked at flow level
+  /// by threads 1 vs N identity. The netlist is unchanged; only time
   /// grows.
   bool self_check = false;
   /// The caller just ran sta.run_full() against this exact network state
@@ -166,19 +168,15 @@ struct OptimizerResult {
   std::uint64_t damp_cutoffs = 0;
   std::uint64_t damp_fallbacks = 0;
   std::uint64_t margin_refreshes = 0;
-  /// Replica-sync cost breakdown (zero at --threads 1, which probes the
-  /// live engine and never syncs).
+  /// Replica-sync cost (zero at --threads 1, which probes the live engine
+  /// and never syncs): epoch-advancing syncs and the bytes they copied.
   std::uint64_t replica_full_syncs = 0;
-  std::uint64_t replica_delta_syncs = 0;
-  /// Commit epochs spanned by the delta syncs — the denominator for
-  /// bytes-per-commit (each sync covers every commit since the replica's
-  /// last synced epoch, not one).
-  std::uint64_t replica_delta_commits = 0;
   std::uint64_t replica_sync_bytes_full = 0;
+  /// Always zero (every sync copies the whole state); kept only because
+  /// perfbench reads them, like pruned_groups_cached below.
+  std::uint64_t replica_delta_syncs = 0;
+  std::uint64_t replica_delta_commits = 0;
   std::uint64_t replica_sync_bytes_delta = 0;
-  /// What delta syncs copy whole besides the journal: the level and
-  /// damping-margin arrays (20 B per gate per sync, O(network)).
-  std::uint64_t replica_sync_bytes_margins = 0;
   /// Commit-path O(dirty) counters, measured AFTER the setup extraction so
   /// they reflect steady-state per-commit cost: fanout-order canonicalize
   /// passes and gates actually re-sorted; swap candidates materialized by
@@ -202,9 +200,10 @@ struct OptimizerResult {
   std::uint64_t sched_speculative_probes = 0;
   std::uint64_t sched_speculation_hits = 0;
   std::uint64_t sched_speculation_wasted = 0;
-  /// Distribution of committed-move critical gains (ns) and of per-proof
-  /// SAT conflict counts (paranoid only) — p50/p90/p99 in the flow summary.
-  Histogram gain_hist;
+  /// Distribution of committed-move gains (ns), one per ProbePolicy (see
+  /// SchedulerStats::gain_hist), and of per-proof SAT conflict counts
+  /// (paranoid only) — p50/p90/p99 in the flow summary.
+  std::array<Histogram, kNumProbePolicies> gain_hist;
   Histogram proof_conflict_hist;
   /// Remaining phase buckets so `phases:` sums to `seconds`: group building
   /// (live margin refresh, slack gating and candidate generation incl.

@@ -16,10 +16,13 @@
 // supergate slots, and probe identically without one.
 //
 // Lifecycle: sync() re-replicates after the live epoch advances (commits
-// invalidate replicas); probe results remain valid within one epoch. Both
-// sync paths adopt the live Sta's levels and damping margins as they stand,
-// so a replica damps exactly as the live engine would and never refreshes
-// margins itself: refresh the live engine's before the round that syncs.
+// invalidate replicas); probe results remain valid within one epoch. The
+// first sync builds the replica objects; every later one copies the live
+// network, placement and Sta state into them in place, reusing their
+// capacity. Either way the replica is a byte copy of the live state, levels
+// and damping margins included, so a replica damps exactly as the live
+// engine would and never refreshes margins itself: refresh the live
+// engine's before the round that syncs.
 #pragma once
 
 #include <cstdint>
@@ -32,23 +35,15 @@ namespace rapids {
 /// Replica sync cost counters, accumulated per context and harvested by the
 /// scheduler (addable so per-worker shards merge into one view).
 struct ReplicaSyncStats {
-  std::uint64_t syncs = 0;          // sync() calls
-  std::uint64_t full_syncs = 0;     // clone + copy_state_from path
-  std::uint64_t delta_syncs = 0;    // journal replay path
-  std::uint64_t delta_commits = 0;  // commit epochs the delta syncs spanned
-  std::uint64_t bytes_full = 0;     // estimated bytes moved by full syncs
-  std::uint64_t bytes_delta = 0;    // estimated bytes moved by delta syncs
-  std::uint64_t bytes_margins = 0;  // level/margin arrays delta syncs copy whole
-  double seconds = 0.0;             // wall time inside sync()
+  std::uint64_t syncs = 0;       // sync() calls
+  std::uint64_t full_syncs = 0;  // epoch-advancing syncs (state copied)
+  std::uint64_t bytes_full = 0;  // estimated bytes those syncs copied
+  double seconds = 0.0;          // wall time inside sync()
 
   ReplicaSyncStats& operator+=(const ReplicaSyncStats& o) {
     syncs += o.syncs;
     full_syncs += o.full_syncs;
-    delta_syncs += o.delta_syncs;
-    delta_commits += o.delta_commits;
     bytes_full += o.bytes_full;
-    bytes_delta += o.bytes_delta;
-    bytes_margins += o.bytes_margins;
     seconds += o.seconds;
     return *this;
   }
@@ -63,15 +58,10 @@ class ProbeContext {
 
   /// Re-replicate from the live engine's state. Must be called from a
   /// single thread per context (the scheduler syncs each worker's context
-  /// on that worker); `source` is read-only here.
-  ///
-  /// While the source journal covers the replica's epoch, only the
-  /// committed rounds' dirty gates, STA slices and free-stack state are
-  /// adopted — O(dirty), not O(network) — with a transparent fallback to
-  /// the full clone path otherwise (always taken by a context's first
-  /// sync, which makes a fresh context the byte-exact reference). Both
-  /// paths leave the replica bit-identical for probe arithmetic, damping
-  /// margins included.
+  /// on that worker); `source` is read-only here. A no-op while
+  /// in_sync_with(source). The replica engine and its Sta persist across
+  /// syncs, so probe counters keep accumulating into one take_stats()
+  /// window cursor.
   void sync(RewireEngine& source);
 
   /// Session this context's replica engine records into (null = ambient).
@@ -87,14 +77,14 @@ class ProbeContext {
   }
 
   /// Read-only views over the replica state, for differential tests that
-  /// assert delta-synced replicas match clone-synced ones byte for byte.
+  /// assert resynced replicas match freshly built ones byte for byte.
   const Network& replica_net() const { return net_; }
   const Sta& replica_sta() const { return *sta_; }
   const Placement& replica_placement() const { return pl_; }
 
   /// True when this replica reflects the live engine's CURRENT state — the
   /// commit epoch AND the Sta state version. The epoch alone is not enough:
-  /// an out-of-band run_full (journal restart, delta-sync fallback) rebuilds
+  /// an out-of-band run_full rebuilds
   /// the live timing state without advancing the commit epoch, so a replica
   /// adopted "late" in the same epoch would otherwise keep pre-restart
   /// arrivals and probe against stale timing.
@@ -121,16 +111,10 @@ class ProbeContext {
   ProbeScratch scratch_;
 
   std::uint64_t epoch_ = 0;
-  bool has_state_ = false;
-  /// Source Sta state version captured at the last full sync; a mismatch
-  /// (the live side ran run_full) forces the next sync down the full path.
+  /// Source Sta state version captured at the last sync (see in_sync_with).
   std::uint64_t sta_version_ = 0;
   EngineStats harvested_;
   ReplicaSyncStats sync_stats_;
-  // Reused delta-id scratch (cleared, never shrunk, per sync).
-  std::vector<GateId> delta_gates_;
-  std::vector<GateId> delta_arr_;
-  std::vector<GateId> delta_nets_;
 };
 
 }  // namespace rapids

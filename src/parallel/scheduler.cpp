@@ -33,6 +33,15 @@ std::vector<int> assign_shards(std::span<const std::uint64_t> weights,
   return shard_of;
 }
 
+const char* probe_policy_name(ProbePolicy policy) {
+  switch (policy) {
+    case ProbePolicy::MinCritical: return "min_critical";
+    case ProbePolicy::Relaxation: return "relaxation";
+    case ProbePolicy::FirstFit: return "first_fit";
+  }
+  return "unknown";
+}
+
 ParallelRewireScheduler::ParallelRewireScheduler(RewireEngine& engine,
                                                 const SchedulerOptions& options)
     : engine_(engine), options_(options),
@@ -359,7 +368,7 @@ int ParallelRewireScheduler::arbitrate_and_commit(
       commit_seconds += commit_timer.seconds();
       ++committed;
       ++stats_.committed;
-      stats_.gain_hist.add(live_gain);
+      stats_.gain_hist[static_cast<std::size_t>(policy)].add(live_gain);
       prov.record(chosen_id, ProvenanceStage::Committed, live_gain);
       // Paranoid mode appends one verdict per proved swap commit; thread it
       // onto the move's chain (resize commits append none).

@@ -41,6 +41,7 @@
 // scheduling-independent order.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -72,6 +73,12 @@ enum class ProbePolicy : std::uint8_t {
   /// gain); used by area recovery.
   FirstFit,
 };
+inline constexpr std::size_t kNumProbePolicies = 3;
+static_assert(static_cast<std::size_t>(ProbePolicy::FirstFit) + 1 == kNumProbePolicies);
+
+/// Lowercase name of a policy ("min_critical", "relaxation", "first_fit"):
+/// the suffix of its committed-gain histogram's metric name.
+const char* probe_policy_name(ProbePolicy policy);
 
 /// Per-group outcome of a probe round.
 struct GroupResult {
@@ -124,11 +131,13 @@ struct SchedulerStats {
   double seconds_arbitrate = 0.0;
   double seconds_commit = 0.0;
   ReplicaSyncStats sync;
-  /// Distribution of live-validated gains over committed moves (critical
-  /// gain for MinCritical/FirstFit rounds, sum-of-PO gain for Relaxation).
-  /// Filled on the serial arbitration path only, so it is bit-identical for
-  /// every worker count.
-  Histogram gain_hist;
+  /// Distribution of live-validated gains over committed moves, one per
+  /// ProbePolicy (indexed by it) so objectives never mix: critical gain
+  /// for MinCritical, sum-of-PO gain for Relaxation, and the critical
+  /// delay given back (a negative gain) for FirstFit. Filled on the serial
+  /// arbitration path only, so each is bit-identical for every worker
+  /// count.
+  std::array<Histogram, kNumProbePolicies> gain_hist;
 };
 
 class ParallelRewireScheduler {

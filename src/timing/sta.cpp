@@ -406,8 +406,11 @@ void Sta::propagate() {
   // lowest occupied bucket, taken whole. A push into a taken bucket (stale
   // levels only) refills it for a later round. Gate-id order makes the pops
   // a function of the bucket's contents, not of the fanout-list order that
-  // filled it, which can differ between the live network and a replica:
-  // with stale levels the pop count depends on the order.
+  // filled it: a probe's undo can leave a list reordered, so the order
+  // depends on how many probes the network ran, which differs between
+  // threads 1 (the live engine probes everything) and threads N (replicas
+  // copy the live order at each sync, then probe). With stale levels the
+  // pop count depends on the order.
   std::size_t next = 0;  // batch_[next..] is still to be recomputed
   const auto pop = [&](GateId& g) {
     if (next == batch_.size()) {
@@ -554,78 +557,6 @@ void Sta::commit() {
   txn_dirty_nets_.clear();
   seeds_.clear();
   in_txn_ = false;
-}
-
-void Sta::append_txn_changed_ids(std::vector<GateId>& arrival_ids,
-                                 std::vector<GateId>& net_ids) const {
-  RAPIDS_ASSERT_MSG(in_txn_, "txn-changed ids only exist inside a transaction");
-  for (const auto& [g, a] : saved_arrivals_) {
-    (void)a;
-    arrival_ids.push_back(g);
-  }
-  for (std::size_t i = 0; i < saved_net_count_; ++i) {
-    net_ids.push_back(saved_nets_[i].first);
-  }
-}
-
-Sta::DeltaBytes Sta::adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
-                                 std::span<const GateId> net_ids) {
-  RAPIDS_ASSERT_MSG(!in_txn_ && !other.in_txn_,
-                    "adopt_delta requires both analyses outside transactions");
-  RAPIDS_ASSERT_MSG(pin_stride_ == other.pin_stride_,
-                    "pin stride drifted; replica needs a full sync");
-  // Size the id-indexed arrays to MATCH the source's exactly, not the net
-  // bound: the live Sta grows lazily inside transactions, so tombstones
-  // minted by the post-commit id top-up are not yet in its arrays — and
-  // the clone path (copy_state_from) replicates that exact layout. The
-  // arrays only ever grow, so this never truncates. New slots default to
-  // the same values the live grow() wrote; every slot whose value then
-  // changed is in the journal's id lists and copied below.
-  const std::size_t n = other.arrival_.size();
-  if (nets_.size() < n) {
-    nets_.resize(n);
-    arrival_.resize(n);
-    required_.resize(n);
-    net_dirty_.resize(n, false);
-    queued_.resize(n, 0);
-    arrival_saved_.resize(n, false);
-    net_saved_.resize(n, false);
-    pin_delay_.resize(n * pin_stride_, 0.0);
-  }
-  std::size_t bytes = 0;
-  // The caller ships arrival ids sorted and deduplicated (the delta-sync
-  // dedup pass); commits touch contiguous cone slices, so compact the list
-  // into maximal consecutive runs and move each with one bulk copy instead
-  // of a per-id scatter.
-  for (std::size_t i = 0; i < arrival_ids.size();) {
-    std::size_t j = i + 1;
-    while (j < arrival_ids.size() && arrival_ids[j] == arrival_ids[j - 1] + 1) ++j;
-    const GateId first = arrival_ids[i];
-    const std::size_t run = j - i;
-    std::copy_n(other.arrival_.begin() + first, run, arrival_.begin() + first);
-    bytes += run * sizeof(RiseFall);
-    i = j;
-  }
-  for (const GateId d : net_ids) {
-    nets_[d] = other.nets_[d];
-    for (const StarBranch& b : nets_[d].branches) {
-      pin_delay_[b.pin.gate * pin_stride_ + b.pin.index] = b.wire_delay;
-    }
-    bytes += sizeof(StarNet) + nets_[d].branches.size() * sizeof(StarBranch);
-  }
-  // Levels and margins whole: one commit that moves a primary output's
-  // arrival shifts ceilings all the way upstream, so slices would not pay.
-  // Counted apart from the slices: they scale with the network, not the
-  // commits.
-  level_ = other.level_;
-  req_damp_ = other.req_damp_;
-  margins_valid_ = other.margins_valid_;
-  size_worklist(other.buckets_.size());
-  critical_delay_ = other.critical_delay_;
-  required_time_ = other.required_time_;
-  state_version_ = other.state_version_;
-  required_valid_ = false;
-  return {bytes, level_.size() * sizeof(int) + req_damp_.size() * sizeof(RiseFall)};
 }
 
 void Sta::backward_required(std::span<const GateId> topo_order,

@@ -52,7 +52,7 @@ class Sta {
   /// byte-for-byte. Both analyses must be
   /// outside transactions and bound to structurally identical networks
   /// (same id_bound; the source's state must be valid for this network's
-  /// topology — a fresh clone qualifies). This is the parallel scheduler's
+  /// topology — a copy of the source's network qualifies). This is the parallel scheduler's
   /// replica-sync primitive: it is cheaper than run_full() and, unlike a
   /// recompute, guarantees the replica starts from bit-identical timing.
   void copy_state_from(const Sta& other);
@@ -153,10 +153,10 @@ class Sta {
   //
   // Margins are invalidated by any state-changing commit() and by
   // run_full(); rollback() restores state exactly and leaves them valid.
-  // copy_state_from() and adopt_delta() adopt the source's margins, valid
-  // or not, so a replica damps exactly as its source would. Commits must
-  // run with damping inactive so the stored inter-transaction state is
-  // always the true fixed point.
+  // copy_state_from() adopts the source's margins, valid or not, so a
+  // replica damps exactly as its source would. Commits must run with
+  // damping inactive so the stored inter-transaction state is always the
+  // true fixed point.
 
   /// Arm/disarm margin damping for subsequent propagate() calls. Damping
   /// only engages while margins_valid(); callers (the engine probe path)
@@ -193,37 +193,16 @@ class Sta {
   std::uint64_t damp_fallbacks() const { return damp_fallbacks_; }
   std::uint64_t margin_refreshes() const { return margin_refreshes_; }
 
-  // --- delta replica sync ---------------------------------------------------
+  // --- replica sync ---------------------------------------------------------
 
-  /// Monotonic counter bumped by every run_full(). Delta replica sync is
-  /// only valid while the source's version matches the one captured at the
-  /// replica's last full sync; a mismatch means the id space / pin stride
-  /// was rebuilt wholesale and the replica must fall back to
-  /// copy_state_from().
+  /// Monotonic counter bumped by every run_full(). A replica synced at an
+  /// older version is stale even within the same commit epoch
+  /// (ProbeContext::in_sync_with).
   std::uint64_t state_version() const { return state_version_; }
-
-  /// While inside a transaction, append the ids whose arrivals (resp. star
-  /// nets) the transaction has modified so far — exactly the state a
-  /// commit() will change relative to begin(), because propagate() saves an
-  /// arrival only when it actually differs. The engine records these into
-  /// its replica-sync journal just before committing.
-  void append_txn_changed_ids(std::vector<GateId>& arrival_ids,
-                              std::vector<GateId>& net_ids) const;
-
-  /// Adopt only the listed slices of `other`'s state (plus scalars):
-  /// arrivals for arrival_ids, star nets and their pin-delay rows for
-  /// net_ids — and the whole level and damping-margin arrays, since a
-  /// commit that moves any primary-output arrival shifts the ceilings all
-  /// the way upstream. Both analyses must be outside transactions, pin
-  /// strides must match, and the underlying networks must already be
-  /// structurally identical (delta-adopt the network first). Required
-  /// times become stale.
-  struct DeltaBytes {
-    std::size_t slices = 0;  // journal slices: O(dirty)
-    std::size_t whole = 0;   // level and margin arrays: O(network)
-  };
-  DeltaBytes adopt_delta(const Sta& other, std::span<const GateId> arrival_ids,
-                         std::span<const GateId> net_ids);
+  /// Read-only views over the per-pin wire delay cache and the forward
+  /// levels, for differential tests that compare replicas byte for byte.
+  std::span<const double> pin_delays() const { return {pin_delay_.data(), pin_delay_.size()}; }
+  std::span<const int> levels() const { return {level_.data(), level_.size()}; }
 
  private:
   /// Extend id-indexed state for gates created mid-transaction (inverters
@@ -278,7 +257,7 @@ class Sta {
 
   // Damped-propagation state. req_damp_ is computed by
   // refresh_damping_margins(); level_ by run_full() and again by every
-  // refresh (copy_state_from and adopt_delta copy both). Ids that were not live gates at
+  // refresh (copy_state_from copies both). Ids that were not live gates at
   // the last computation (tombstones, and slots grown since for mid-txn
   // inverters) read never-suppress sentinels, and propagate() buckets them
   // after their fanins; committed rewiring leaves level_ stale until the

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <ostream>
+#include <string>
 
 #include "opt/optimizer.hpp"
 
@@ -180,11 +181,7 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
 
   // Replica sync.
   reg.add_counter("sync.full_syncs", r.replica_full_syncs);
-  reg.add_counter("sync.delta_syncs", r.replica_delta_syncs);
-  reg.add_counter("sync.delta_commits", r.replica_delta_commits);
   reg.add_counter("sync.bytes_full", r.replica_sync_bytes_full);
-  reg.add_counter("sync.bytes_delta", r.replica_sync_bytes_delta);
-  reg.add_counter("sync.bytes_margins", r.replica_sync_bytes_margins);
 
   // Partition maintenance.
   reg.add_counter("partition.full_rebuilds", r.partition.full_rebuilds);
@@ -233,7 +230,11 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
     reg.set_gauge("rate.probes_per_sec", static_cast<double>(r.probes) / r.seconds);
   }
 
-  reg.add_histogram("hist.probe_gain_ns", r.gain_hist);
+  for (std::size_t p = 0; p < kNumProbePolicies; ++p) {
+    reg.add_histogram(std::string("hist.probe_gain_ns.") +
+                          probe_policy_name(static_cast<ProbePolicy>(p)),
+                      r.gain_hist[p]);
+  }
   reg.add_histogram("hist.proof_conflicts", r.proof_conflict_hist);
 }
 

@@ -10,7 +10,7 @@
 // (`rapids flow --metrics-json out.json`).
 //
 // Naming convention: dotted lowercase paths, subsystem first —
-// "engine.probes", "scheduler.rounds", "sync.bytes_delta",
+// "engine.probes", "scheduler.rounds", "sync.bytes_full",
 // "partition.sgs_reextracted", "proof.conflicts", "time.optimize_s".
 //
 // Sharding model: the hot paths never touch the registry. Workers

@@ -145,7 +145,7 @@ TEST(MetricsRegistry, JsonSnapshotRoundTripsThroughJsonLite) {
   reg.set_gauge("time.optimize_s", 1.25);
   Histogram h;
   for (int i = 1; i <= 10; ++i) h.add(static_cast<double>(i));
-  reg.add_histogram("hist.probe_gain_ns", h);
+  reg.add_histogram("hist.probe_gain_ns.min_critical", h);
 
   std::ostringstream os;
   reg.write_json(os);
@@ -154,7 +154,7 @@ TEST(MetricsRegistry, JsonSnapshotRoundTripsThroughJsonLite) {
   EXPECT_EQ(v.find("labels")->find("circuit")->as_string(), "c499");
   EXPECT_DOUBLE_EQ(v.find("counters")->find("scheduler.rounds")->as_number(), 7.0);
   EXPECT_DOUBLE_EQ(v.find("gauges")->find("time.optimize_s")->as_number(), 1.25);
-  const JsonValue* hist = v.find("histograms")->find("hist.probe_gain_ns");
+  const JsonValue* hist = v.find("histograms")->find("hist.probe_gain_ns.min_critical");
   ASSERT_NE(hist, nullptr);
   EXPECT_DOUBLE_EQ(hist->find("count")->as_number(), 10.0);
   EXPECT_GT(hist->find("p99")->as_number(), hist->find("p50")->as_number());
@@ -519,13 +519,18 @@ TEST(TraceDeterminismSlow, MetricsSnapshotIsWorkerCountInvariantOnCounters) {
         "engine.iterations", "engine.probes", "engine.candidates_enumerated"}) {
     EXPECT_EQ(m1.counter(key), m4.counter(key)) << key;
   }
-  // The committed-gain distribution is part of the deterministic output.
-  ASSERT_NE(m1.histogram("hist.probe_gain_ns"), nullptr);
-  ASSERT_NE(m4.histogram("hist.probe_gain_ns"), nullptr);
-  EXPECT_EQ(m1.histogram("hist.probe_gain_ns")->count(),
-            m4.histogram("hist.probe_gain_ns")->count());
-  EXPECT_DOUBLE_EQ(m1.histogram("hist.probe_gain_ns")->percentile(0.5),
-                   m4.histogram("hist.probe_gain_ns")->percentile(0.5));
+  // Each policy's committed-gain distribution is part of the deterministic
+  // output.
+  for (const char* name : {"min_critical", "relaxation", "first_fit"}) {
+    const std::string key = std::string("hist.probe_gain_ns.") + name;
+    ASSERT_NE(m1.histogram(key), nullptr) << key;
+    ASSERT_NE(m4.histogram(key), nullptr) << key;
+    EXPECT_EQ(m1.histogram(key)->count(), m4.histogram(key)->count()) << key;
+    EXPECT_DOUBLE_EQ(m1.histogram(key)->percentile(0.5),
+                     m4.histogram(key)->percentile(0.5))
+        << key;
+  }
+  EXPECT_GT(m1.histogram("hist.probe_gain_ns.min_critical")->count(), 0);
 
   // Gauges mirror the result (delay identical; wall clock merely present).
   EXPECT_EQ(m1.gauge("delay.final_ns"), m4.gauge("delay.final_ns"));
@@ -537,7 +542,7 @@ TEST(TraceDeterminismSlow, MetricsSnapshotIsWorkerCountInvariantOnCounters) {
   const auto flat = flatten_numeric(parse_json(os.str()));
   EXPECT_GT(flat.count("counters.scheduler.rounds"), 0u);
   EXPECT_GT(flat.count("gauges.time.optimize_s"), 0u);
-  EXPECT_GT(flat.count("histograms.hist.probe_gain_ns.p50"), 0u);
+  EXPECT_GT(flat.count("histograms.hist.probe_gain_ns.min_critical.p50"), 0u);
 }
 
 TEST(TraceDeterminismSlow, PhaseBucketsCoverTheOptimizeTotal) {

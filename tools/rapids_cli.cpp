@@ -236,18 +236,21 @@ int cmd_flow(const std::vector<std::string>& args) {
             << r.seconds_arbitrate << " s, commit " << r.seconds_commit
             << " s, finalize " << r.seconds_finalize << " s, other "
             << r.seconds_unattributed << " s = " << r.seconds << " s\n";
-  if (r.gain_hist.count() > 0) {
-    std::cout << "gains: committed-move gain (ns) " << r.gain_hist.to_string()
-              << "\n";
+  // One line per probe policy: critical, sum-of-PO and area-recovery
+  // gains are different objectives and never share a distribution.
+  static constexpr const char* kGainMeaning[kNumProbePolicies] = {
+      "critical-delay gain", "sum-of-PO-arrival gain",
+      "critical-delay gain, area recovery"};
+  for (std::size_t p = 0; p < kNumProbePolicies; ++p) {
+    if (r.gain_hist[p].count() == 0) continue;
+    std::cout << "gains: " << probe_policy_name(static_cast<ProbePolicy>(p)) << " ("
+              << kGainMeaning[p] << ", ns) " << r.gain_hist[p].to_string() << "\n";
   }
   std::cout << "scale: " << r.canonicalize_calls << " canonicalize calls / "
             << r.gates_canonicalized << " gates re-sorted after setup, "
             << r.candidates_enumerated << " swap candidates enumerated; "
-            << "replica sync " << r.replica_delta_syncs << " delta ("
-            << r.replica_sync_bytes_delta << " B over " << r.replica_delta_commits
-            << " commits, + " << r.replica_sync_bytes_margins << " B margin arrays) / "
-            << r.replica_full_syncs << " full ("
-            << r.replica_sync_bytes_full << " B)\n";
+            << "replica sync " << r.replica_full_syncs << " syncs, "
+            << r.replica_sync_bytes_full << " B, " << r.seconds_sync << " s\n";
   // Propagation shape: how much of the structural fanout cone each probe
   // actually walked, and how much the slack-margin cutoff suppressed.
   if (r.probes > 0) {
