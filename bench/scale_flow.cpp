@@ -6,7 +6,6 @@
 //
 //   - replica sync: syncs, and bytes and seconds per sync (each sync copies
 //     the live state whole, so per-sync bytes track the network),
-//   - gates re-sorted per canonicalize pass after setup,
 //   - swap candidates enumerated,
 //   - timing propagation shape: gates propagated per probe and the
 //     slack-margin damp cutoff rate (the probe-cost story),
@@ -57,9 +56,6 @@ struct SizePoint {
   std::uint64_t sync_bytes = 0;
   double bytes_per_sync = 0.0;
   double seconds_per_sync = 0.0;
-  std::uint64_t canonicalize_calls = 0;
-  std::uint64_t gates_canonicalized = 0;
-  double gates_canonicalized_per_call = 0.0;
   std::uint64_t candidates_enumerated = 0;
   std::uint64_t probes = 0;
   std::uint64_t gates_propagated = 0;
@@ -110,12 +106,6 @@ SizePoint measure(std::size_t target, std::uint64_t seed, int threads, int iters
   if (pt.syncs > 0) {
     pt.bytes_per_sync = static_cast<double>(pt.sync_bytes) / static_cast<double>(pt.syncs);
     pt.seconds_per_sync = r.seconds_sync / static_cast<double>(pt.syncs);
-  }
-  pt.canonicalize_calls = r.canonicalize_calls;
-  pt.gates_canonicalized = r.gates_canonicalized;
-  if (r.canonicalize_calls > 0) {
-    pt.gates_canonicalized_per_call = static_cast<double>(r.gates_canonicalized) /
-                                      static_cast<double>(r.canonicalize_calls);
   }
   pt.candidates_enumerated = r.candidates_enumerated;
   pt.probes = r.probes;
@@ -184,14 +174,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Growth of the per-commit and per-probe quantities, smallest -> largest.
-  double canon_growth = 0.0, size_growth = 0.0, probe_cost_growth = 0.0;
+  // Growth of the per-probe cost and the network, smallest -> largest.
+  double size_growth = 0.0, probe_cost_growth = 0.0;
   if (points.size() >= 2) {
     const SizePoint& lo = points.front();
     const SizePoint& hi = points.back();
-    if (lo.gates_canonicalized_per_call > 0) {
-      canon_growth = hi.gates_canonicalized_per_call / lo.gates_canonicalized_per_call;
-    }
     if (lo.gates_propagated_per_probe > 0) {
       probe_cost_growth =
           hi.gates_propagated_per_probe / lo.gates_propagated_per_probe;
@@ -207,7 +194,6 @@ int main(int argc, char** argv) {
        << "  \"iters\": " << iters << ",\n"
        << "  \"seed\": " << seed << ",\n"
        << "  \"network_size_growth\": " << size_growth << ",\n"
-       << "  \"gates_canonicalized_per_call_growth\": " << canon_growth << ",\n"
        << "  \"gates_propagated_per_probe_growth\": " << probe_cost_growth << ",\n"
        << "  \"points\": [\n";
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -230,10 +216,8 @@ int main(int argc, char** argv) {
          << ", \"bytes_total\": " << p.sync_bytes
          << ", \"bytes_per_sync\": " << p.bytes_per_sync
          << ", \"seconds_per_sync\": " << p.seconds_per_sync << "},\n"
-         << "     \"commit_path\": {\"canonicalize_calls\": " << p.canonicalize_calls
-         << ", \"gates_canonicalized\": " << p.gates_canonicalized
-         << ", \"gates_per_call\": " << p.gates_canonicalized_per_call
-         << ", \"candidates_enumerated\": " << p.candidates_enumerated << "},\n"
+         << "     \"commit_path\": {\"candidates_enumerated\": " << p.candidates_enumerated
+         << "},\n"
          << "     \"timing\": {\"probes\": " << p.probes
          << ", \"gates_propagated\": " << p.gates_propagated
          << ", \"gates_propagated_per_probe\": " << p.gates_propagated_per_probe

@@ -15,7 +15,9 @@ namespace {
 /// A swap inserts at most two inverters and a resize none, so 64 is ample;
 /// the floor also decides which ids commits mint, so changing it renames
 /// inserted gates in the output. probe_with asserts the id space never
-/// grows mid-probe, so an overflow is loud.
+/// grows mid-probe, so an overflow is loud. Sorted fanout lists do not
+/// make the reserve redundant: ids are the sort key, so a probe that
+/// minted a fresh id would still file its pins by probe history.
 constexpr std::size_t kIdReserve = 64;
 }  // namespace
 
@@ -27,10 +29,16 @@ RewireEngine::RewireEngine(Network& net, Placement& placement, const CellLibrary
   // tombstoned ids keeps id_bound() — and every id-indexed STA/placement
   // array — at a fixed size for the engine's lifetime.
   net_.set_id_recycling(true);
+  // Fanout order feeds supergate extraction (and through it the
+  // scheduler's (gain, group) commit order) and the STA worklist's pop
+  // order. Sorted lists make it a function of the fanout set, so a probe's
+  // undo restores it exactly and the live network and every replica copy
+  // of it walk fanouts alike, however many probes each ran.
+  net_.sort_fanouts();
   // Pre-seed the recycled-id reserve so NO probe ever has to mint a fresh
-  // id: ids key the star-net branch order (timing arithmetic), so an id
-  // allocation that depended on how many probes already ran would make
-  // probe objectives history-dependent — the parallel-vs-serial
+  // id: ids key fanout and star-net branch order (timing arithmetic), so
+  // an id allocation that depended on how many probes already ran would
+  // make probe objectives history-dependent — the parallel-vs-serial
   // determinism bug the differential fuzzer caught. Commits top the
   // reserve back up (commit histories are identical across worker counts).
   net_.reserve_recycled_ids(kIdReserve);
@@ -77,15 +85,6 @@ Tracer& RewireEngine::span_tracer() const {
 const GisgPartition& RewireEngine::partition() {
   if (!partition_valid_) {
     TraceSpan extract_span(span_tracer(), "extract", "extract_full");
-    // Probe undo restores fanout SETS, not their order; full extraction's
-    // reverse-topological walk iterates fanouts, so without this
-    // normalization the supergate indexing — and with it the scheduler's
-    // (gain, group) canonical commit order — would depend on how many
-    // probes the live engine ran (serial probes on the live net, parallel
-    // probes on replicas: the differential fuzzer caught the resulting
-    // --threads divergence). Incremental updates walk fanins and single
-    // fanouts only, so they are order-independent by construction.
-    net_.canonicalize_fanout_order();
     extract_gisg_into(partition_, net_);
     partition_valid_ = true;
     pending_dirty_.clear();

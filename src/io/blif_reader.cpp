@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,25 @@ BlifModel parse(std::string_view buf) {
 }
 
 Network build(const BlifModel& model) {
+  // Every signal has one driver (a primary input, a latch or a .names
+  // block) and every output is declared once; otherwise the block built
+  // last would silently replace the others.
+  {
+    std::unordered_set<std::string_view> defined, declared_outputs;
+    auto define = [&defined](std::string_view name) {
+      if (!defined.insert(name).second) {
+        throw InputError("blif: signal " + std::string(name) + " defined twice");
+      }
+    };
+    for (const std::string_view name : model.inputs) define(name);
+    for (const auto& latch : model.latches) define(latch.second);
+    for (const NamesBlock& block : model.names) define(block.signals.back());
+    for (const std::string_view name : model.outputs) {
+      if (!declared_outputs.insert(name).second) {
+        throw InputError("blif: output " + std::string(name) + " declared twice");
+      }
+    }
+  }
   Network net;
   std::unordered_map<std::string_view, GateId> signal;  // name -> driver gate
   signal.reserve(model.names.size() + model.inputs.size() + model.latches.size());
@@ -242,6 +262,12 @@ Network build(const BlifModel& model) {
     pending = std::move(next);
   }
 
+  auto add_po = [&net](const std::string& po_name, GateId driver) {
+    if (net.find(po_name) != kNullGate) {
+      throw InputError("blif: output name " + po_name + " clashes with a signal");
+    }
+    net.add_fanin(net.add_gate(GateType::Output, po_name), driver);
+  };
   for (const std::string_view name : model.outputs) {
     auto it = signal.find(name);
     if (it == signal.end()) throw InputError("blif: undefined output " + std::string(name));
@@ -250,8 +276,7 @@ Network build(const BlifModel& model) {
     const std::string po_name =
         net.find(std::string(name)) == kNullGate ? std::string(name)
                                                  : std::string(name) + "$po";
-    const GateId po = net.add_gate(GateType::Output, po_name);
-    net.add_fanin(po, it->second);
+    add_po(po_name, it->second);
   }
   // Latch inputs become pseudo primary outputs.
   for (const auto& [d, q] : model.latches) {
@@ -259,8 +284,7 @@ Network build(const BlifModel& model) {
     if (it == signal.end()) {
       throw InputError("blif: undefined latch input " + std::string(d));
     }
-    const GateId po = net.add_gate(GateType::Output, std::string(q) + "$next");
-    net.add_fanin(po, it->second);
+    add_po(std::string(q) + "$next", it->second);
   }
   return net;
 }

@@ -44,7 +44,6 @@ GateId Network::add_gate(GateType type, const std::string& name) {
     deleted_.push_back(0);
     fanin_ref_.push_back(ChunkRef{});
     fanout_ref_.push_back(ChunkRef{});
-    fanout_dirty_.push_back(0);  // empty fanout list: trivially canonical
   }
   if (!name.empty()) {
     // find(name) == id when the explicit name equals this gate's own
@@ -72,7 +71,6 @@ void Network::reserve_recycled_ids(std::size_t n) {
     deleted_.push_back(1);
     fanin_ref_.push_back(ChunkRef{});
     fanout_ref_.push_back(ChunkRef{});
-    fanout_dirty_.push_back(0);
     free_ids_.push_back(id);
   }
 }
@@ -87,22 +85,32 @@ void Network::add_fanin(GateId gate, GateId driver) {
                     "boundary gate cannot have fanins");
   const Pin pin{gate, fanin_ref_[gate].cnt};
   fanin_pool_.push(fanin_ref_[gate], driver);
-  fanout_pool_.push(fanout_ref_[driver], pin);
-  mark_fanout_order_dirty(driver);
+  insert_fanout_entry(driver, pin);
+}
+
+void Network::insert_fanout_entry(GateId driver, Pin pin) {
+  ChunkRef& r = fanout_ref_[driver];
+  fanout_pool_.push(r, pin);
+  if (!fanouts_sorted_) return;
+  // Sift the appended pin down to its place.
+  Pin* fo = fanout_pool_.at(r);
+  std::uint32_t i = r.cnt - 1;
+  for (; i > 0 && pin < fo[i - 1]; --i) fo[i] = fo[i - 1];
+  fo[i] = pin;
 }
 
 void Network::remove_fanout_entry(GateId driver, Pin pin) {
   ChunkRef& r = fanout_ref_[driver];
   Pin* fo = fanout_pool_.at(r);
-  for (std::uint32_t i = 0; i < r.cnt; ++i) {
-    if (fo[i] == pin) {
-      fo[i] = fo[r.cnt - 1];
-      --r.cnt;
-      mark_fanout_order_dirty(driver);  // swap-with-last breaks sortedness
-      return;
-    }
+  Pin* const end = fo + r.cnt;
+  Pin* const at = std::find(fo, end, pin);
+  RAPIDS_ASSERT_MSG(at != end, "fanout list inconsistent");
+  if (fanouts_sorted_) {
+    std::copy(at + 1, end, at);
+  } else {
+    *at = end[-1];
   }
-  RAPIDS_ASSERT_MSG(false, "fanout list inconsistent");
+  --r.cnt;
 }
 
 void Network::set_fanin(Pin pin, GateId new_driver) {
@@ -116,8 +124,7 @@ void Network::set_fanin(Pin pin, GateId new_driver) {
   RAPIDS_ASSERT(!deleted_[new_driver]);
   remove_fanout_entry(old_driver, pin);
   fanin_pool_.at(fr)[pin.index] = new_driver;
-  fanout_pool_.push(fanout_ref_[new_driver], pin);
-  mark_fanout_order_dirty(new_driver);
+  insert_fanout_entry(new_driver, pin);
 }
 
 void Network::remove_fanin(GateId gate, std::uint32_t index) {
@@ -128,6 +135,8 @@ void Network::remove_fanin(GateId gate, std::uint32_t index) {
   GateId* fi = fanin_pool_.at(fr);
   remove_fanout_entry(fi[index], Pin{gate, index});
   // Shift the remaining fanins down and re-index their fanout entries.
+  // (gate, j) becomes (gate, j - 1) in ascending j, after (gate, j - 1)
+  // left or was re-indexed itself, so a sorted list stays sorted.
   for (std::uint32_t j = index + 1; j < fr.cnt; ++j) {
     const GateId d = fi[j];
     ChunkRef& dr = fanout_ref_[d];
@@ -141,7 +150,6 @@ void Network::remove_fanin(GateId gate, std::uint32_t index) {
       }
     }
     RAPIDS_ASSERT_MSG(found, "fanout list inconsistent during remove_fanin");
-    mark_fanout_order_dirty(d);  // re-indexed entry can break sortedness
     fi[j - 1] = d;
   }
   --fr.cnt;
@@ -183,32 +191,14 @@ void Network::delete_gate(GateId gate) {
   if (recycle_ids_) free_ids_.push_back(gate);
 }
 
-void Network::canonicalize_fanout_order() {
-  ++canonicalize_calls_;
-  auto sort_gate = [this](GateId g) {
+void Network::sort_fanouts() {
+  if (fanouts_sorted_) return;
+  for (GateId g = 0; g < type_.size(); ++g) {
     const ChunkRef& r = fanout_ref_[g];
     Pin* p = fanout_pool_.at(r);
-    std::sort(p, p + r.cnt, [](const Pin& a, const Pin& b) {
-      return a.gate != b.gate ? a.gate < b.gate : a.index < b.index;
-    });
-    ++gates_canonicalized_;
-  };
-  if (all_fanouts_dirty_) {
-    // First call (or first after clone of a pre-canonicalization network):
-    // one O(network) pass, after which dirty tracking takes over.
-    for (GateId g = 0; g < type_.size(); ++g) {
-      if (!deleted_[g]) sort_gate(g);
-    }
-    all_fanouts_dirty_ = false;
-    fanout_dirty_.assign(type_.size(), 0);
-    fanout_dirty_list_.clear();
-    return;
+    std::sort(p, p + r.cnt);
   }
-  for (const GateId g : fanout_dirty_list_) {
-    fanout_dirty_[g] = 0;
-    if (!deleted_[g]) sort_gate(g);
-  }
-  fanout_dirty_list_.clear();
+  fanouts_sorted_ = true;
 }
 
 void Network::set_type(GateId gate, GateType type) {

@@ -25,6 +25,7 @@
 // mutating while iterating.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -47,6 +48,8 @@ struct Pin {
 
   bool valid() const { return gate != kNullGate; }
   friend bool operator==(const Pin& a, const Pin& b) = default;
+  /// (gate, index) order: the order of sorted fanout lists.
+  friend auto operator<=>(const Pin& a, const Pin& b) = default;
 };
 
 struct PinHash {
@@ -86,7 +89,8 @@ class Network {
   /// from this reserve and its undo pushes the ids back, so the id a gate
   /// receives never depends on how many probes ran before — the invariant
   /// the parallel scheduler's determinism contract rests on (gate ids key
-  /// the star-net branch order, so ids feed timing arithmetic).
+  /// sorted fanout and star-net branch order, so ids feed timing
+  /// arithmetic).
   void reserve_recycled_ids(std::size_t n);
 
   /// Append `driver` as the next fanin of `gate`.
@@ -129,7 +133,9 @@ class Network {
   }
   std::uint32_t fanin_count(GateId gate) const { return check(gate), fanin_ref_[gate].cnt; }
 
-  /// Sink pins of this gate's output net (order unspecified).
+  /// Sink pins of this gate's output net: ascending by (gate, index) once
+  /// sort_fanouts() ran, insertion order (with swap-with-last removals)
+  /// before.
   std::span<const Pin> fanouts(GateId gate) const {
     check(gate);
     const ChunkRef& r = fanout_ref_[gate];
@@ -269,51 +275,27 @@ class Network {
   /// Count of live gates per type.
   std::vector<std::size_t> type_histogram() const;
 
-  /// Sort every fanout list whose order may have drifted by (gate, index).
-  /// Fanout order is otherwise history-dependent — undo re-appends pins at
-  /// the end and removal swaps-with-last — so any consumer that iterates
-  /// fanouts (supergate extraction, and through it group indexing in the
-  /// parallel scheduler's canonical commit order) must run on a
-  /// canonicalized network to be independent of how many probes ran before.
-  /// Set-wise the structure is unchanged; topological validity and all
-  /// caches remain intact.
+  /// Sort every fanout list by (gate, index) and keep it sorted from then
+  /// on: add_fanin/set_fanin insert each pin at its place and removal
+  /// shifts, so fanout order becomes a function of the fanout set alone and
+  /// a probe's undo restores it exactly. Idempotent; clones inherit it.
   ///
-  /// Cost is O(dirty): every order-perturbing mutation marks its driver and
-  /// only marked gates are re-sorted (the first call after construction or
-  /// clone pays the one O(network) pass). A gate that is not marked is
-  /// guaranteed already canonical, so repeated calls on a quiescent network
-  /// are O(1).
-  void canonicalize_fanout_order();
-
-  /// Fanout lists currently marked order-dirty (SIZE_MAX before the first
-  /// canonicalization, when everything is implicitly dirty).
-  std::size_t fanout_order_dirty_count() const {
-    return all_fanouts_dirty_ ? static_cast<std::size_t>(-1)
-                              : fanout_dirty_list_.size();
-  }
-  /// Lifetime counters: canonicalize_fanout_order() invocations and the
-  /// total fanout lists actually re-sorted by them (bench/scale_flow's
-  /// "gates re-canonicalized per commit" metric).
-  std::uint64_t canonicalize_calls() const { return canonicalize_calls_; }
-  std::uint64_t gates_canonicalized() const { return gates_canonicalized_; }
+  /// Until this is called a list keeps insertion order and removal swaps
+  /// with the last entry. The mapper, decomposition and simplify walk
+  /// topological_order, whose Kahn order follows fanout order, so keeping
+  /// that history-dependent order for networks no engine holds is what
+  /// leaves their netlists as they were. RewireEngine calls this once.
+  void sort_fanouts();
 
  private:
   void check(GateId gate) const {
     RAPIDS_ASSERT_MSG(gate < type_.size(), "gate id out of range");
   }
 
+  void insert_fanout_entry(GateId driver, Pin pin);
   void remove_fanout_entry(GateId driver, Pin pin);
   /// The implicit name of an unnamed gate.
   std::string implicit_name(GateId gate) const;
-
-  /// Record that `driver`'s fanout list may have left canonical order.
-  void mark_fanout_order_dirty(GateId driver) {
-    if (all_fanouts_dirty_) return;
-    if (!fanout_dirty_[driver]) {
-      fanout_dirty_[driver] = 1;
-      fanout_dirty_list_.push_back(driver);
-    }
-  }
 
   // SoA per-gate state.
   std::vector<GateType> type_;
@@ -336,14 +318,8 @@ class Network {
   std::vector<GateId> free_ids_;
   std::uint64_t revision_ = 0;
 
-  // Fanout-order dirty tracking for O(dirty) canonicalization. Until the
-  // first canonicalize_fanout_order() call every list is implicitly dirty
-  // (all_fanouts_dirty_); afterwards only marked gates need re-sorting.
-  std::vector<std::uint8_t> fanout_dirty_;
-  std::vector<GateId> fanout_dirty_list_;
-  bool all_fanouts_dirty_ = true;
-  std::uint64_t canonicalize_calls_ = 0;
-  std::uint64_t gates_canonicalized_ = 0;
+  // See sort_fanouts().
+  bool fanouts_sorted_ = false;
 };
 
 }  // namespace rapids

@@ -81,11 +81,6 @@ class Optimizer {
       result.max_sg_inputs = part.max_leaves();
       result.redundancies_found = part.redundancies.size();
     }
-    // Snapshot the canonicalize counters AFTER the initial extraction's
-    // one O(network) pass, so the reported numbers isolate the steady
-    // per-commit cost the dirty tracking is supposed to bound.
-    const std::uint64_t canon_calls_base = net_.canonicalize_calls();
-    const std::uint64_t canon_gates_base = net_.gates_canonicalized();
     result.seconds_setup = timer.seconds();
 
     double best = result.initial_delay;
@@ -180,8 +175,6 @@ class Optimizer {
     result.margin_refreshes = stats.margin_refreshes;
     result.replica_full_syncs = sched.sync.full_syncs;
     result.replica_sync_bytes_full = sched.sync.bytes_full;
-    result.canonicalize_calls = net_.canonicalize_calls() - canon_calls_base;
-    result.gates_canonicalized = net_.gates_canonicalized() - canon_gates_base;
     result.candidates_enumerated = candidates_enumerated_;
     result.sched_rounds = sched.rounds;
     result.sched_accepted = sched.accepted;

@@ -177,12 +177,7 @@ struct OptimizerResult {
   std::uint64_t replica_delta_syncs = 0;
   std::uint64_t replica_delta_commits = 0;
   std::uint64_t replica_sync_bytes_delta = 0;
-  /// Commit-path O(dirty) counters, measured AFTER the setup extraction so
-  /// they reflect steady-state per-commit cost: fanout-order canonicalize
-  /// passes and gates actually re-sorted; swap candidates materialized by
-  /// enumeration.
-  std::uint64_t canonicalize_calls = 0;
-  std::uint64_t gates_canonicalized = 0;
+  /// Swap candidates materialized by enumeration.
   std::uint64_t candidates_enumerated = 0;
   /// Always zero (truncated swap lists are never cached); kept only because
   /// perfbench reads it, like sched_speculat* below.

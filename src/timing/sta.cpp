@@ -404,13 +404,12 @@ void Sta::propagate() {
   };
   // The next gate to recompute: the rest of the current bucket, else the
   // lowest occupied bucket, taken whole. A push into a taken bucket (stale
-  // levels only) refills it for a later round. Gate-id order makes the pops
-  // a function of the bucket's contents, not of the fanout-list order that
-  // filled it: a probe's undo can leave a list reordered, so the order
-  // depends on how many probes the network ran, which differs between
-  // threads 1 (the live engine probes everything) and threads N (replicas
-  // copy the live order at each sync, then probe). With stale levels the
-  // pop count depends on the order.
+  // levels only) refills it for a later round. A bucket holds its gates in
+  // push order, which follows the seeds and fanout order; the engine keeps
+  // fanout lists sorted (Network::sort_fanouts), so that order is a
+  // function of the network state, not of how many probes ran on it, and
+  // the pop count — which with stale levels depends on the order — is the
+  // same on the live network and on every replica.
   std::size_t next = 0;  // batch_[next..] is still to be recomputed
   const auto pop = [&](GateId& g) {
     if (next == batch_.size()) {
@@ -419,7 +418,6 @@ void Sta::propagate() {
       if ((lo = lowest_occupied()) == buckets_.size()) return false;
       batch_.swap(buckets_[lo]);
       occupied_[lo / 64] &= ~(std::uint64_t{1} << (lo % 64));
-      if (batch_.size() > 1) std::sort(batch_.begin(), batch_.end());
     }
     g = batch_[next++];
     queued_[g] = 0;

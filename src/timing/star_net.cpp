@@ -27,13 +27,14 @@ void build_star_net_into(StarNet& star, const Network& net, const CellLibrary& l
   RAPIDS_ASSERT_MSG(pl.is_placed(driver), "driver not placed: " + net.name(driver));
   const Point src = pl.at(driver);
 
-  // Canonical branch order. The fanout pool stores sinks in whatever order
-  // rewiring left them (removal is swap-with-last), so iterating it raw
-  // would make the floating-point accumulations below — and therefore every
-  // arrival downstream — depend on the circuit's probe/undo HISTORY, not
-  // just its current state. The parallel scheduler needs probes to be pure
-  // functions of state so any worker computes bit-identical results;
-  // sorting sinks by (gate, index) makes the star net history-independent.
+  // Canonical branch order: the floating-point accumulations below — and
+  // therefore every arrival downstream — must depend on the sink set only.
+  // A network an engine holds keeps its fanout lists sorted already (the
+  // sort below then finds nothing to move), but the flow, the benchmarks
+  // and the tests time networks with their first Sta before any engine
+  // exists, while fanout order still reflects construction history.
+  // Without the sort their arrival sums, and through them the optimized
+  // netlists, would depend on that history.
   star.branches.reserve(sinks.size());
   for (const Pin& pin : sinks) star.branches.push_back(StarBranch{pin, 0, 0, 0, 0});
   // Insertion sort: nets almost always have 1-4 sinks, where this beats

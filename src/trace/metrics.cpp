@@ -160,8 +160,6 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
   reg.add_counter("engine.iterations", static_cast<std::uint64_t>(r.iterations));
   reg.add_counter("engine.redundancies_found",
                   static_cast<std::uint64_t>(r.redundancies_found));
-  reg.add_counter("engine.canonicalize_calls", r.canonicalize_calls);
-  reg.add_counter("engine.gates_canonicalized", r.gates_canonicalized);
   reg.add_counter("engine.candidates_enumerated", r.candidates_enumerated);
 
   // Scheduler round/arbitration counters.

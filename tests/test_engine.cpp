@@ -30,6 +30,9 @@ struct StateSnapshot {
   std::vector<GateType> types;
   std::vector<std::int32_t> cells;
   std::vector<std::vector<GateId>> fanins;
+  // In list order: an engine keeps fanout lists sorted, so an undo must
+  // restore the order as well as the set.
+  std::vector<std::vector<Pin>> fanouts;
   std::vector<bool> placed;
   std::vector<Point> positions;
   std::size_t num_gates = 0;
@@ -44,6 +47,7 @@ struct StateSnapshot {
         s.types.push_back(GateType::Buf);
         s.cells.push_back(-2);
         s.fanins.emplace_back();
+        s.fanouts.emplace_back();
         s.placed.push_back(false);
         s.positions.push_back(Point{});
         continue;
@@ -52,6 +56,8 @@ struct StateSnapshot {
       s.cells.push_back(net.cell(g));
       const auto f = net.fanins(g);
       s.fanins.emplace_back(f.begin(), f.end());
+      const auto fo = net.fanouts(g);
+      s.fanouts.emplace_back(fo.begin(), fo.end());
       s.placed.push_back(pl.is_placed(g));
       s.positions.push_back(pl.is_placed(g) ? pl.at(g) : Point{});
     }
@@ -76,6 +82,11 @@ void expect_restored(const StateSnapshot& a, const Network& net, const Placement
     ASSERT_EQ(a.fanins[g].size(), f.size()) << "gate " << g;
     for (std::size_t i = 0; i < f.size(); ++i) {
       EXPECT_EQ(a.fanins[g][i], f[i]) << "gate " << g << " pin " << i;
+    }
+    const auto fo = net.fanouts(g);
+    ASSERT_EQ(a.fanouts[g].size(), fo.size()) << "gate " << g;
+    for (std::size_t i = 0; i < fo.size(); ++i) {
+      EXPECT_EQ(a.fanouts[g][i], fo[i]) << "gate " << g << " fanout " << i;
     }
     EXPECT_EQ(a.placed[g], pl.is_placed(g)) << "gate " << g;
     if (a.placed[g]) {

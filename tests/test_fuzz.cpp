@@ -78,11 +78,12 @@ TEST(Shrinker, ReturnsInputWhenNothingSmallerFails) {
 
 TEST(FuzzSlow, ThreadDeterminismRegressionCircuits) {
   // Two circuits on which the fuzzer caught --threads 1 vs N divergence:
-  // probe undo restores fanout SETS but not their order, so supergate
-  // extraction — and with it the arbiter's (gain, group) canonical commit
-  // order — used to depend on how many probes the live engine had run.
-  // Fixed by canonicalizing fanout order before every extraction plus the
-  // recycled-id reserve; these exact (seed, iteration, mode) draws pin it.
+  // probe undo used to restore fanout SETS but not their order, so
+  // supergate extraction — and with it the arbiter's (gain, group)
+  // canonical commit order — depended on how many probes the live engine
+  // had run. Fixed by the recycled-id reserve and by the engine keeping
+  // fanout lists sorted (Network::sort_fanouts), so undo restores the
+  // order too; these exact (seed, iteration, mode) draws pin it.
   struct Repro {
     std::uint64_t harness_seed;
     std::uint64_t iteration;

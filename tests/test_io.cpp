@@ -9,6 +9,7 @@
 #include "io/blif_writer.hpp"
 #include "io/placement_io.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/simplify.hpp"
 #include "netlist/validate.hpp"
 #include "place/placer.hpp"
 #include "test_helpers.hpp"
@@ -105,6 +106,23 @@ TEST(Blif, ErrorsAreReported) {
   EXPECT_THROW((void)read_blif(bad2), InputError);
   std::stringstream bad3(".model m\n.inputs a\n.outputs nope\n.end\n");
   EXPECT_THROW((void)read_blif(bad3), InputError);
+  // Malformed declarations: each one is the input's fault, not the
+  // program's, and a redefined signal must not silently pick one driver.
+  for (const char* text : {
+           ".model m\n.inputs a a\n.outputs a\n.end\n",
+           ".model m\n.inputs a\n.outputs f f f\n.names a f\n1 1\n.end\n",
+           ".model m\n.inputs a\n.outputs f f\n.names a f\n1 1\n.end\n",
+           ".model m\n.inputs a\n.outputs a a\n.end\n",
+           ".model m\n.inputs a b\n.outputs a\n.names b a\n1 1\n.end\n",
+           ".model m\n.inputs a\n.outputs f\n.latch a q 0\n.names a q\n0 1\n"
+           ".names q f\n1 1\n.end\n",
+           ".model m\n.inputs a b\n.outputs f\n.names a f\n1 1\n.names b f\n1 1\n.end\n",
+           // Output a of input a is named a$po, which input a$po holds.
+           ".model m\n.inputs a a$po\n.outputs a\n.end\n",
+       }) {
+    std::stringstream ss(text);
+    EXPECT_THROW((void)read_blif(ss), InputError) << text;
+  }
 }
 
 TEST(Bench, ParsesIscasStyle) {
@@ -147,6 +165,34 @@ TEST(Bench, RoundTripRandomNetworks) {
 TEST(Bench, UnknownSignalRejected) {
   std::stringstream ss("INPUT(a)\nOUTPUT(f)\nf = AND(a, ghost)\n");
   EXPECT_THROW((void)read_bench(ss), InputError);
+}
+
+TEST(Bench, ErrorsAreReported) {
+  for (const char* text : {
+           // Declarations and definitions.
+           "INPUT(a)\nINPUT(a)\nOUTPUT(f)\nf = NOT(a)\n",
+           "INPUT(a)\nOUTPUT(f)\nOUTPUT(f)\nOUTPUT(f)\nf = NOT(a)\n",
+           "INPUT(a)\nOUTPUT(a)\nOUTPUT(a)\n",
+           "INPUT(a)\nINPUT(b)\nOUTPUT(a)\na = NOT(b)\n",
+           "INPUT(a)\nINPUT(b)\nOUTPUT(f)\nf = NOT(a)\nf = NOT(b)\n",
+           "INPUT(a)\nOUTPUT(f)\na = DFF(f)\nf = NOT(a)\n",
+           "INPUT(a)\nINPUT(a$po)\nOUTPUT(a)\n",
+           // Arity: NOT, BUF and DFF take one argument, other gates one or more.
+           "INPUT(a)\nOUTPUT(f)\nq = DFF(a, a)\nf = AND(a, q)\n",
+           "INPUT(a)\nOUTPUT(f)\nf = NOT(a, a)\n",
+           "INPUT(a)\nOUTPUT(f)\nf = BUF()\n",
+           "INPUT(a)\nOUTPUT(f)\nf = AND()\n",
+           // Boundary types are not gates.
+           "INPUT(a)\nOUTPUT(f)\nf = OUTPUT(a)\n",
+       }) {
+    std::stringstream ss(text);
+    EXPECT_THROW((void)read_bench(ss), InputError) << text;
+  }
+  // A single-input AND stays legal: simplify turns it into a buffer.
+  std::stringstream ok("INPUT(a)\nOUTPUT(f)\nf = AND(a)\n");
+  Network net = read_bench(ok);
+  simplify(net);
+  validate_or_throw(net);
 }
 
 TEST(PlacementIo, RoundTrip) {

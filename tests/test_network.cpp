@@ -6,6 +6,7 @@
 #include "netlist/topo.hpp"
 #include "netlist/validate.hpp"
 #include "test_helpers.hpp"
+#include "util/rng.hpp"
 #include "verify/equivalence.hpp"
 
 namespace rapids {
@@ -151,6 +152,95 @@ TEST(Network, CloneIsDeep) {
     copy.set_fanin(Pin{some, 0}, copy.primary_inputs()[0]);
   }
   validate_or_throw(net);  // original untouched
+}
+
+void expect_fanouts_sorted(const Network& net, const char* when) {
+  for (const GateId g : net.gates()) {
+    const auto fo = net.fanouts(g);
+    for (std::size_t i = 1; i < fo.size(); ++i) {
+      EXPECT_LT(fo[i - 1], fo[i]) << when << ": gate " << g << " fanout " << i;
+    }
+  }
+}
+
+TEST(Network, FanoutListsStaySortedOnceSorted) {
+  // Before sort_fanouts() a list keeps insertion order and removal swaps
+  // with the last entry: the mapper, decomposition and simplify see that
+  // order through topological_order, so their netlists depend on it.
+  {
+    NetworkBuilder b;
+    const GateId x = b.input("x"), y = b.input("y");
+    const GateId g1 = b.inv(x), g2 = b.inv(x), g3 = b.inv(x);
+    b.output("f", b.and_({g1, g2, g3}));
+    Network net = b.take();
+    net.set_fanin(Pin{g1, 0}, y);
+    const auto fo = net.fanouts(x);
+    ASSERT_EQ(fo.size(), 2u);
+    EXPECT_EQ(fo[0], (Pin{g3, 0}));
+    EXPECT_EQ(fo[1], (Pin{g2, 0}));
+  }
+
+  // After it, every mutation keeps each list strictly increasing by
+  // (gate, index). Drivers always have lower ids than their sinks, so the
+  // network stays acyclic.
+  Rng rng(20261021);
+  NetworkBuilder b;
+  std::vector<GateId> pool;
+  for (int i = 0; i < 6; ++i) pool.push_back(b.input("i" + std::to_string(i)));
+  for (int i = 0; i < 40; ++i) {
+    std::vector<GateId> ins;
+    const int k = rng.next_int(2, 4);
+    for (int j = 0; j < k; ++j) ins.push_back(pool[rng.next_below(pool.size())]);
+    pool.push_back(b.and_(ins));
+  }
+  for (int i = 0; i < 4; ++i) b.output("o" + std::to_string(i), pool[pool.size() - 1 - i]);
+  Network net = b.take();
+  net.sort_fanouts();
+  expect_fanouts_sorted(net, "sort_fanouts");
+
+  const auto live_below = [&](GateId bound) {
+    for (;;) {
+      const GateId d = static_cast<GateId>(rng.next_below(bound));
+      if (!net.is_deleted(d)) return d;
+    }
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const GateId g = pool[6 + rng.next_below(40)];
+    if (net.is_deleted(g)) continue;
+    switch (rng.next_below(5)) {
+      case 0:
+        net.add_fanin(g, live_below(g));
+        break;
+      case 1:
+        net.set_fanin(Pin{g, static_cast<std::uint32_t>(rng.next_below(net.fanin_count(g)))},
+                      live_below(g));
+        break;
+      case 2:
+        if (net.fanin_count(g) > 2) {
+          net.remove_fanin(g, static_cast<std::uint32_t>(rng.next_below(net.fanin_count(g))));
+        }
+        break;
+      case 3:
+        net.replace_all_fanouts(g, live_below(g));
+        break;
+      case 4:
+        if (net.fanout_count(g) == 0) net.delete_gate(g);
+        break;
+    }
+    if (step % 100 == 0) expect_fanouts_sorted(net, "mutation");
+  }
+  expect_fanouts_sorted(net, "mutations");
+  EXPECT_TRUE(validate(net).empty());
+
+  // A clone inherits the order and keeps it under mutation.
+  Network copy = net.clone();
+  const GateId in0 = copy.primary_inputs()[0];
+  for (const GateId po : copy.primary_outputs()) copy.set_fanin(Pin{po, 0}, in0);
+  for (const GateId g : copy.gates()) {
+    if (copy.type(g) == GateType::And) copy.add_fanin(g, in0);
+  }
+  expect_fanouts_sorted(copy, "clone");
+  EXPECT_TRUE(validate(copy).empty());
 }
 
 TEST(Topo, OrderRespectsEdges) {

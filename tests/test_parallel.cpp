@@ -289,8 +289,9 @@ void expect_thread_count_identity(const char* name, const PreparedCircuit& prepa
     // of the live state, so the work counters are thread-invariant too.
     // That includes the propagation shape: replicas adopt the live
     // engine's levels and margins, so both walk the same levels, and the
-    // level-ordered worklist recomputes each gate after its fanins whatever
-    // the fanout order. Only the live engine refreshes margins.
+    // worklist's pop order follows fanout order, which the engine keeps
+    // sorted on the live network and every replica copy alike. Only the
+    // live engine refreshes margins.
     EXPECT_EQ(ref.result.probes, r.result.probes) << cfg;
     EXPECT_EQ(ref.result.gates_propagated, r.result.gates_propagated) << cfg;
     EXPECT_EQ(ref.result.damp_cutoffs, r.result.damp_cutoffs) << cfg;

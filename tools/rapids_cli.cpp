@@ -246,9 +246,7 @@ int cmd_flow(const std::vector<std::string>& args) {
     std::cout << "gains: " << probe_policy_name(static_cast<ProbePolicy>(p)) << " ("
               << kGainMeaning[p] << ", ns) " << r.gain_hist[p].to_string() << "\n";
   }
-  std::cout << "scale: " << r.canonicalize_calls << " canonicalize calls / "
-            << r.gates_canonicalized << " gates re-sorted after setup, "
-            << r.candidates_enumerated << " swap candidates enumerated; "
+  std::cout << "scale: " << r.candidates_enumerated << " swap candidates enumerated; "
             << "replica sync " << r.replica_full_syncs << " syncs, "
             << r.replica_sync_bytes_full << " B, " << r.seconds_sync << " s\n";
   // Propagation shape: how much of the structural fanout cone each probe
