@@ -7,8 +7,9 @@
 //   - replica sync: syncs, and bytes and seconds per sync (each sync copies
 //     the live state whole, so per-sync bytes track the network),
 //   - swap candidates enumerated,
-//   - timing propagation shape: gates propagated per probe and the
-//     slack-margin damp cutoff rate (the probe-cost story),
+//   - timing propagation shape: gates propagated per probe, the
+//     slack-margin damp cutoff rate and the probes stopped by their
+//     critical-delay cap (the probe-cost story),
 //   - the phase-timing breakdown (setup/probe/arbitrate/commit/sync).
 //
 // The report opens with the shared `env` header (bench/bench_env.hpp).
@@ -61,6 +62,7 @@ struct SizePoint {
   std::uint64_t gates_propagated = 0;
   std::uint64_t damp_cutoffs = 0;
   std::uint64_t margin_refreshes = 0;
+  std::uint64_t probes_bounded = 0;
   double gates_propagated_per_probe = 0.0;
   double damp_cutoff_rate = 0.0;  // cutoffs / (propagated + cutoffs)
   double seconds_timing = 0.0;
@@ -112,6 +114,7 @@ SizePoint measure(std::size_t target, std::uint64_t seed, int threads, int iters
   pt.gates_propagated = r.gates_propagated;
   pt.damp_cutoffs = r.damp_cutoffs;
   pt.margin_refreshes = r.margin_refreshes;
+  pt.probes_bounded = r.probes_bounded;
   pt.seconds_timing = r.seconds_timing;
   if (r.probes > 0) {
     pt.gates_propagated_per_probe =
@@ -223,7 +226,8 @@ int main(int argc, char** argv) {
          << ", \"gates_propagated_per_probe\": " << p.gates_propagated_per_probe
          << ", \"damp_cutoffs\": " << p.damp_cutoffs
          << ", \"damp_cutoff_rate\": " << p.damp_cutoff_rate
-         << ", \"margin_refreshes\": " << p.margin_refreshes << "}}"
+         << ", \"margin_refreshes\": " << p.margin_refreshes
+         << ", \"probes_bounded\": " << p.probes_bounded << "}}"
          << (i + 1 < points.size() ? "," : "") << "\n";
   }
   json << "  ]\n}\n";

@@ -1,6 +1,8 @@
 #include "engine/rewire_engine.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <sstream>
 
 #include "session/session.hpp"
 #include "trace/trace.hpp"
@@ -185,13 +187,36 @@ void RewireEngine::undo_network_edit(ProbeScratch& scratch, const EngineMove& mo
   }
 }
 
-EngineObjective RewireEngine::probe(const EngineMove& move) {
-  return probe_with(scratch_, move);
+EngineObjective RewireEngine::probe(const EngineMove& move, double critical_cap) {
+  return probe_with(scratch_, move, critical_cap);
 }
 
 EngineObjective RewireEngine::probe_with(ProbeScratch& scratch,
-                                         const EngineMove& move) {
+                                         const EngineMove& move,
+                                         double critical_cap) {
   ++stats_.probes;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EngineObjective obj;
+  if (evaluate(scratch, move, critical_cap, obj)) return obj;
+  ++stats_.probes_bounded;
+  if (self_check_) {
+    // Reference: the same probe run to its fixed point must land above the
+    // cap the bounded run proved it exceeds.
+    EngineObjective exact;
+    evaluate(scratch, move, kInf, exact);
+    if (!(exact.critical > critical_cap)) {
+      std::ostringstream os;
+      os.precision(17);
+      os << "self-check: bounded probe stopped at cap " << critical_cap
+         << " but its exact critical delay is " << exact.critical;
+      throw InternalError(os.str());
+    }
+  }
+  return EngineObjective{kInf, kInf};
+}
+
+bool RewireEngine::evaluate(ProbeScratch& scratch, const EngineMove& move,
+                            double critical_cap, EngineObjective& out) {
   const std::size_t bound_before = net_.id_bound();
   sta_.begin();
   apply_and_invalidate(scratch, move);
@@ -199,9 +224,9 @@ EngineObjective RewireEngine::probe_with(ProbeScratch& scratch,
   // commit path leaves damping off so committed state is the true fixed
   // point. Damping stays disarmed between calls.
   sta_.set_damping_active(true);
-  sta_.propagate();
+  const bool exact = sta_.propagate(critical_cap);
   sta_.set_damping_active(false);
-  const EngineObjective obj{sta_.critical_delay(), sta_.sum_po_arrival()};
+  if (exact) out = EngineObjective{sta_.critical_delay(), sta_.sum_po_arrival()};
   undo_network_edit(scratch, move);
   sta_.rollback();
   sample_sta_counters();
@@ -210,7 +235,7 @@ EngineObjective RewireEngine::probe_with(ProbeScratch& scratch,
   // reserve must always cover a single move's inserts.
   RAPIDS_ASSERT_MSG(net_.id_bound() == bound_before,
                     "probe outgrew the recycled-id reserve");
-  return obj;
+  return exact;
 }
 
 void RewireEngine::count_commit(const EngineMove& move) {

@@ -34,6 +34,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -108,6 +109,8 @@ struct EngineStats {
   int resizes_committed = 0;
   int inverters_added = 0;
   std::uint64_t probes = 0;
+  // Probes stopped by their critical-delay cap (a subset of probes).
+  std::uint64_t probes_bounded = 0;
   // Propagation-shape counters sampled from the Sta: worklist pops across
   // all probe/commit transactions, margin suppressions, PO-decrease
   // fallback replays, and damping-margin refreshes.
@@ -121,6 +124,7 @@ struct EngineStats {
     resizes_committed += o.resizes_committed;
     inverters_added += o.inverters_added;
     probes += o.probes;
+    probes_bounded += o.probes_bounded;
     gates_propagated += o.gates_propagated;
     damp_cutoffs += o.damp_cutoffs;
     damp_fallbacks += o.damp_fallbacks;
@@ -191,8 +195,9 @@ class RewireEngine {
   /// canonically equal; every damped probe is replayed undamped (Sta
   /// damp-diff); in paranoid mode a per-move sat::WindowChecker proves each
   /// commit beside the proof session, which must prove every move the
-  /// reference proves. Replicas inherit the switch on their first sync (their
-  /// probes replay undamped). Costly —
+  /// reference proves; every probe stopped by its critical-delay cap is
+  /// replayed uncapped and must exceed the cap. Replicas inherit the switch
+  /// on their first sync (their probes replay undamped). Costly —
   /// tests, fuzzing and `flow --self-check` only.
   void set_self_check(bool on) {
     self_check_ = on;
@@ -212,15 +217,25 @@ class RewireEngine {
 
   /// Evaluate `move` inside an STA transaction and roll everything back
   /// exactly (network, placement, timing). Thousands of probes per second;
-  /// allocation-free after warm-up.
-  EngineObjective probe(const EngineMove& move);
+  /// allocation-free after warm-up. `critical_cap` as in probe_with().
+  EngineObjective probe(const EngineMove& move,
+                        double critical_cap = std::numeric_limits<double>::infinity());
 
   /// As probe(), but through a caller-owned scratch. The result is a pure
-  /// function of (network/placement/timing state, move): the probe restores
-  /// the network, placement, STA journal AND the recycled-id free stack
-  /// exactly, so interleaving probes from different scratches — or
+  /// function of (network/placement/timing state, move, cap): the probe
+  /// restores the network, placement, STA journal AND the recycled-id free
+  /// stack exactly, so interleaving probes from different scratches — or
   /// replaying them on a state replica — yields bit-identical objectives.
-  EngineObjective probe_with(ProbeScratch& scratch, const EngineMove& move);
+  ///
+  /// `critical_cap` is the largest critical delay the caller could still
+  /// accept. Once the move's critical delay is proven to exceed it, the
+  /// probe stops propagating and returns {+inf, +inf} (counted in
+  /// stats().probes_bounded); below the cap the objective is exact. Callers
+  /// that compare exact objectives (the arbiter's re-probe, commits) leave
+  /// it at +inf.
+  EngineObjective probe_with(
+      ProbeScratch& scratch, const EngineMove& move,
+      double critical_cap = std::numeric_limits<double>::infinity());
 
   /// Apply `move` and keep it. Bumps the epoch and invalidates the
   /// partition. Returns the post-commit objective. In paranoid mode the
@@ -287,6 +302,11 @@ class RewireEngine {
   /// Apply the move's network edit and mark dirty timing state. Fills the
   /// scratch's reusable undo records.
   void apply_and_invalidate(ProbeScratch& scratch, const EngineMove& move);
+  /// One probe transaction: apply, damped propagate under `critical_cap`,
+  /// read the objective into `out`, undo. Returns false (and leaves `out`
+  /// untouched) when the cap stopped the propagation.
+  bool evaluate(ProbeScratch& scratch, const EngineMove& move, double critical_cap,
+                EngineObjective& out);
   /// Exact inverse of apply_and_invalidate's network edit (STA rollback is
   /// separate).
   void undo_network_edit(ProbeScratch& scratch, const EngineMove& move);

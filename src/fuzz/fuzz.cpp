@@ -81,7 +81,9 @@ std::string run_experiment(const Network& src, OptMode mode, std::uint64_t flow_
           Count{"damp_fallbacks", serial.result.damp_fallbacks,
                 parallel.result.damp_fallbacks},
           Count{"margin_refreshes", serial.result.margin_refreshes,
-                parallel.result.margin_refreshes}}) {
+                parallel.result.margin_refreshes},
+          Count{"probes_bounded", serial.result.probes_bounded,
+                parallel.result.probes_bounded}}) {
       if (threads > 1 && c.serial != c.parallel) {
         return "determinism: threads=1 and threads=" + std::to_string(threads) +
                " reported different " + c.what + " (" + std::to_string(c.serial) +

@@ -21,6 +21,16 @@ std::string trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
+// A declaration is `keyword`, optional spaces, then '(' — on a line with no
+// '=', so a gate whose output name merely starts with the keyword
+// (`INPUTS_n = AND(a, b)`) is read as a gate.
+bool is_declaration(const std::string& line, const std::string& keyword) {
+  if (line.rfind(keyword, 0) != 0 || line.find('=') != std::string::npos) return false;
+  std::size_t i = keyword.size();
+  while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
+  return i < line.size() && line[i] == '(';
+}
+
 struct BenchLine {
   std::string output;
   bool dff = false;
@@ -56,10 +66,10 @@ Network read_bench(std::istream& in) {
     auto define = [&](const std::string& name) {
       if (!defined.insert(name).second) fail("signal " + name + " defined twice");
     };
-    if (line.rfind("INPUT", 0) == 0) {
+    if (is_declaration(line, "INPUT")) {
       inputs.push_back(grab_paren(line));
       define(inputs.back());
-    } else if (line.rfind("OUTPUT", 0) == 0) {
+    } else if (is_declaration(line, "OUTPUT")) {
       outputs.push_back(grab_paren(line));
       if (!declared_outputs.insert(outputs.back()).second) {
         fail("output " + outputs.back() + " declared twice");

@@ -173,6 +173,7 @@ class Optimizer {
     result.damp_cutoffs = stats.damp_cutoffs;
     result.damp_fallbacks = stats.damp_fallbacks;
     result.margin_refreshes = stats.margin_refreshes;
+    result.probes_bounded = stats.probes_bounded;
     result.replica_full_syncs = sched.sync.full_syncs;
     result.replica_sync_bytes_full = sched.sync.bytes_full;
     result.candidates_enumerated = candidates_enumerated_;

@@ -160,14 +160,16 @@ struct OptimizerResult {
   /// Propagation-shape counters (merged across live engine + replicas):
   /// worklist pops across every probe/commit propagation, pops suppressed by
   /// the slack-margin cutoff, exact undamped replays after an in-probe PO
-  /// arrival decrease, and PO-seeded margin recomputations (live engine
-  /// only). cutoffs / (propagated + cutoffs) is the damping rate;
-  /// gates_propagated / probes is the per-probe cost the damping exists to
-  /// flatten. All four are thread-invariant.
+  /// arrival decrease, PO-seeded margin recomputations (live engine
+  /// only), and probes stopped early by their critical-delay cap.
+  /// cutoffs / (propagated + cutoffs) is the damping rate;
+  /// gates_propagated / probes is the per-probe cost the damping and the
+  /// cap exist to flatten. All five are thread-invariant.
   std::uint64_t gates_propagated = 0;
   std::uint64_t damp_cutoffs = 0;
   std::uint64_t damp_fallbacks = 0;
   std::uint64_t margin_refreshes = 0;
+  std::uint64_t probes_bounded = 0;
   /// Replica-sync cost (zero at --threads 1, which probes the live engine
   /// and never syncs): epoch-advancing syncs and the bytes they copied.
   std::uint64_t replica_full_syncs = 0;

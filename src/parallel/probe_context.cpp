@@ -53,9 +53,9 @@ void ProbeContext::sync(RewireEngine& source) {
   sta_version_ = source.sta().state_version();
   ++sync_stats_.full_syncs;
   // Rough but stable size model of what a sync moves: the SoA gate rows +
-  // adjacency pools + the id-indexed STA arrays (arrivals, requireds, star
-  // nets, levels and margins). The copy is O(network) regardless, so the
-  // edge count walk costs nothing extra.
+  // adjacency pools + the id-indexed STA arrays (the three RiseFall arrays
+  // are arrivals, margins and tails; then star nets and levels). The copy
+  // is O(network) regardless, so the edge count walk costs nothing extra.
   std::size_t edges = 0;
   net_.for_each_gate([&](GateId g) { edges += net_.fanin_count(g); });
   sync_stats_.bytes_full +=
@@ -71,6 +71,7 @@ EngineStats ProbeContext::take_stats() {
   if (engine_) {
     const EngineStats& total = engine_->stats();
     window.probes = total.probes - harvested_.probes;
+    window.probes_bounded = total.probes_bounded - harvested_.probes_bounded;
     window.gates_propagated = total.gates_propagated - harvested_.gates_propagated;
     window.damp_cutoffs = total.damp_cutoffs - harvested_.damp_cutoffs;
     window.damp_fallbacks = total.damp_fallbacks - harvested_.damp_fallbacks;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "session/session.hpp"
 #include "trace/provenance.hpp"
@@ -17,6 +18,23 @@ namespace {
 constexpr double kGainTie = 1e-12;
 // Tolerance for "does not degrade the critical delay" (phase B).
 constexpr double kCritSlack = 1e-9;
+
+// The largest critical delay a probe can have and still be selected under
+// `policy` against a round baseline of `base_critical`. The round's probes
+// pass it to probe_with, so a probe that can only be rejected stops
+// propagating early.
+double probe_cap(ProbePolicy policy, double threshold, double base_critical) {
+  switch (policy) {
+    case ProbePolicy::MinCritical:
+      // A winner's gain beats min(threshold, 0): the initial best gain is 0
+      // and only a gain above the threshold can lower it. For the
+      // non-negative thresholds the optimizer passes this is base_critical.
+      return base_critical - std::min(threshold, 0.0);
+    case ProbePolicy::Relaxation: return base_critical + kCritSlack;
+    case ProbePolicy::FirstFit: return threshold;
+  }
+  return std::numeric_limits<double>::infinity();
+}
 }  // namespace
 
 std::vector<int> assign_shards(std::span<const std::uint64_t> weights,
@@ -75,6 +93,7 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
                                                  double base_sum) const {
   GroupResult r;
   r.group = group_index;
+  const double cap = probe_cap(policy, threshold, base_critical);
 
   switch (policy) {
     case ProbePolicy::MinCritical: {
@@ -82,7 +101,7 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
       double best_sum_gain = 0.0;
       for (std::size_t i = 0; i < group.moves.size(); ++i) {
         const EngineMove& move = group.moves[i];
-        const EngineObjective obj = eng.probe_with(scratch, move);
+        const EngineObjective obj = eng.probe_with(scratch, move, cap);
         ++r.probes;
         const double gain = base_critical - obj.critical;
         const double sum_gain = base_sum - obj.sum_po;
@@ -106,7 +125,7 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
       double best_sum_gain = threshold;
       for (std::size_t i = 0; i < group.moves.size(); ++i) {
         const EngineMove& move = group.moves[i];
-        const EngineObjective obj = eng.probe_with(scratch, move);
+        const EngineObjective obj = eng.probe_with(scratch, move, cap);
         ++r.probes;
         if (obj.critical > base_critical + kCritSlack) continue;
         const double sum_gain = base_sum - obj.sum_po;
@@ -125,7 +144,7 @@ GroupResult ParallelRewireScheduler::probe_group(RewireEngine& eng,
     case ProbePolicy::FirstFit: {
       for (std::size_t i = 0; i < group.moves.size(); ++i) {
         const EngineMove& move = group.moves[i];
-        const EngineObjective obj = eng.probe_with(scratch, move);
+        const EngineObjective obj = eng.probe_with(scratch, move, cap);
         ++r.probes;
         if (obj.critical <= threshold) {
           r.move = move;
@@ -305,7 +324,8 @@ int ParallelRewireScheduler::arbitrate_and_commit(
     // Re-validate against the LIVE state: earlier commits may have absorbed
     // or invalidated the replica-probed gain. That is the round's only
     // conflict check — an objective that moved at all means an earlier
-    // commit reached what this move evaluates.
+    // commit reached what this move evaluates. It compares exact
+    // objectives, so this probe runs uncapped.
     ++stats_.arbiter_probes;
     const double before_crit = engine_.sta().critical_delay();
     const double before_sum = policy == ProbePolicy::Relaxation
@@ -341,14 +361,15 @@ int ParallelRewireScheduler::arbitrate_and_commit(
       // the round baseline can fit now — a prior commit may have unloaded
       // this gate). Groups where NO candidate fit the baseline never reach
       // arbitration; that pruning is the round's parallel win and the one
-      // deliberate divergence from the serial scan.
+      // deliberate divergence from the serial scan. Only fits count here,
+      // so these probes take the FirstFit cap.
       const std::vector<EngineMove>& moves =
           groups[static_cast<std::size_t>(r.group)].moves;
       for (std::size_t i = 0; i < moves.size(); ++i) {
         if (static_cast<int>(i) == r.move_index) continue;  // already probed
         ++stats_.arbiter_probes;
         const double before = engine_.sta().critical_delay();
-        const EngineObjective obj = engine_.probe(moves[i]);
+        const EngineObjective obj = engine_.probe(moves[i], threshold);
         if (obj.critical <= threshold) {
           chosen = moves[i];
           take = true;

@@ -17,6 +17,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // this whether it was recycled or grown, so a probe's worklist order and
 // damping never depend on which of the two the id allocator chose.
 constexpr int kUnlevelled = std::numeric_limits<int>::max();
+// Slack between the backward margin recurrences (subtractions) and forward
+// propagation (additions): see refresh_damping_margins. Both the damping
+// ceilings and the critical-cap lower bound give it away.
+constexpr double kDampGuard = 1e-6;
 
 // Propagation terminates on BIT-EXACT equality: recompute_arrival is a pure
 // function of fanin arrivals and delays, so gates outside the true
@@ -51,18 +55,19 @@ void Sta::copy_state_from(const Sta& other) {
                     "copy_state_from requires identically sized networks");
   nets_ = other.nets_;
   arrival_ = other.arrival_;
-  required_ = other.required_;
   pin_delay_ = other.pin_delay_;
   pin_stride_ = other.pin_stride_;
   critical_delay_ = other.critical_delay_;
   required_time_ = other.required_time_;
-  required_valid_ = other.required_valid_;
+  // required_ stays as it was: a replica never reads slacks.
+  required_valid_ = false;
   // Full options, not just pads: a later run_full() on the adopted Sta
   // must re-resolve the SAME required-time policy as the source.
   options_ = other.options_;
   state_version_ = other.state_version_;
   level_ = other.level_;
   req_damp_ = other.req_damp_;
+  tail_ = other.tail_;
   margins_valid_ = other.margins_valid_;
   size_worklist(other.buckets_.size());
   const std::size_t n = net_.id_bound();
@@ -311,6 +316,8 @@ void Sta::grow() {
   // suppressed: a -inf ceiling fails the fresh <= req_damp test.
   level_.resize(n, kUnlevelled);
   req_damp_.resize(n, RiseFall{-kInf, -kInf});
+  // Nor may they bound a probe: a +inf tail makes the lower bound -inf.
+  tail_.resize(n, RiseFall{kInf, kInf});
 }
 
 int Sta::forward_level(GateId g) const {
@@ -369,7 +376,7 @@ void Sta::touch_gate(GateId g) {
   seeds_.push_back(g);
 }
 
-void Sta::propagate() {
+bool Sta::propagate(double critical_cap) {
   RAPIDS_ASSERT(in_txn_);
   RAPIDS_ASSERT_MSG(!buckets_.empty(), "propagate before run_full/copy_state_from");
   // Worklist relaxation to the fixed point. Seeds are recomputed
@@ -388,10 +395,12 @@ void Sta::propagate() {
   // without walking the empty ones.
   deferred_.clear();
   std::size_t lo = buckets_.size();  // no bucket below lo is occupied
+  bool filed_last = false;  // a gate went to the last (unlevelled) bucket
   auto push = [&](GateId g) {
     if (queued_[g]) return;
     queued_[g] = 1;
     const std::size_t b = worklist_bucket(g);
+    filed_last |= b + 1 == buckets_.size();
     buckets_[b].push_back(g);
     occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
     lo = std::min(lo, b);
@@ -433,6 +442,9 @@ void Sta::propagate() {
   std::size_t iterations = 0;
   const std::size_t hard_cap = 64 * (net_.num_gates() + 16);
   bool po_decreased = false;
+  const bool damped = damp_active_ && margins_valid_;
+  const bool capped = damped && critical_cap < kInf;
+  bool bounded = false;
   const auto drain = [&](bool damp) {
     GateId g = kNullGate;
     while (pop(g)) {
@@ -476,10 +488,38 @@ void Sta::propagate() {
       save_arrival(g);
       arrival_[g] = fresh;
       net_dirty_[g] = false;
+      // Cut-off 3: the stored arrival plus the longest refresh-time path
+      // to a PO bounds the final critical delay from below (see the header
+      // for why each guard is needed).
+      if (capped && !filed_last && g < level_.size() &&
+          level_[g] > txn_max_dirty_level_ && !net_saved_[g] &&
+          std::max(fresh.rise - tail_[g].rise, fresh.fall - tail_[g].fall) -
+                  kDampGuard > critical_cap) {
+        bounded = true;
+        return;
+      }
       for (const Pin& pin : net_.fanouts(g)) push(pin.gate);
     }
   };
-  drain(damp_active_ && margins_valid_);
+  drain(damped);
+  if (bounded) {
+    // No fixed point to finish or to self-check: empty the worklist (the
+    // rest of the batch and every bucket) and leave the partial arrivals
+    // to rollback().
+    for (; next < batch_.size(); ++next) queued_[batch_[next]] = 0;
+    batch_.clear();
+    for (std::size_t w = 0; w < occupied_.size(); ++w) {
+      for (; occupied_[w] != 0; occupied_[w] &= occupied_[w] - 1) {
+        std::vector<GateId>& bucket = buckets_[w * 64 + std::countr_zero(occupied_[w])];
+        for (const GateId g : bucket) queued_[g] = 0;
+        bucket.clear();
+      }
+    }
+    deferred_.clear();
+    critical_delay_ = kInf;
+    required_valid_ = false;
+    return false;
+  }
   if (po_decreased && !deferred_.empty()) {
     // A primary output dropped below the arrival the ceilings were seeded
     // from, so a suppressed increase elsewhere could now own the max.
@@ -511,6 +551,7 @@ void Sta::propagate() {
   }
   critical_delay_ = recompute_critical();
   required_valid_ = false;
+  return true;
 }
 
 void Sta::rollback() {
@@ -558,7 +599,8 @@ void Sta::commit() {
 }
 
 void Sta::backward_required(std::span<const GateId> topo_order,
-                            std::vector<RiseFall>& req) const {
+                            std::vector<RiseFall>& req,
+                            std::vector<RiseFall>* tail) const {
   for (auto it = topo_order.rbegin(); it != topo_order.rend(); ++it) {
     const GateId g = *it;
     // An Output keeps its seed; the driver below reads it through the wire.
@@ -566,22 +608,30 @@ void Sta::backward_required(std::span<const GateId> topo_order,
     // req at g's output = min over sink pins of
     //   (req at sink output - sink arc delay - wire delay to the pin).
     RiseFall r{kInf, kInf};
+    RiseFall t{kInf, kInf};
     for (const Pin& pin : net_.fanouts(g)) {
       const GateId h = pin.gate;
       const double wire = pin_delay_[pin.gate * pin_stride_ + pin.index];
       RiseFall through{kInf, kInf};
+      RiseFall through_t{kInf, kInf};
       if (net_.type(h) == GateType::Output) {
         through = req[h];
+        if (tail != nullptr) through_t = (*tail)[h];
       } else {
         const std::int32_t ci = net_.cell(h);
         RAPIDS_ASSERT(ci >= 0);
         const RiseFall d = gate_delay(lib_.cell(ci), nets_[h].total_cap());
-        accumulate_arc_required(arc_sense(net_.type(h)), req[h], d, through);
+        const ArcSense sense = arc_sense(net_.type(h));
+        accumulate_arc_required(sense, req[h], d, through);
+        if (tail != nullptr) accumulate_arc_required(sense, (*tail)[h], d, through_t);
       }
       r.rise = std::min(r.rise, through.rise - wire);
       r.fall = std::min(r.fall, through.fall - wire);
+      t.rise = std::min(t.rise, through_t.rise - wire);
+      t.fall = std::min(t.fall, through_t.fall - wire);
     }
     req[g] = r;
+    if (tail != nullptr) (*tail)[g] = t;
   }
 }
 
@@ -623,16 +673,17 @@ void Sta::refresh_damping_margins() {
   // accumulated double rounding error (~1e-10 over the deepest paths)
   // while staying far below real slack margins, and self-check (damp-diff)
   // bit-checks the resulting exactness on every damped propagation.
-  constexpr double kDampGuard = 1e-6;
   // Tombstones keep the -inf never-suppress sentinel that grow() gives
   // fresh slots, so a recycled id minted mid-transaction damps exactly like
-  // a grown one.
+  // a grown one; likewise their +inf tail never bounds.
   req_damp_.assign(n, RiseFall{-kInf, -kInf});
+  tail_.assign(n, RiseFall{kInf, kInf});
   for (const GateId po : net_.primary_outputs()) {
     req_damp_[po] = RiseFall{arrival_[po].rise - kDampGuard,
                              arrival_[po].fall - kDampGuard};
+    tail_[po] = RiseFall{0.0, 0.0};
   }
-  backward_required(order, req_damp_);
+  backward_required(order, req_damp_, &tail_);
   margins_valid_ = true;
   ++margin_refreshes_;
 }

@@ -47,14 +47,16 @@ class Sta {
   Sta(const Network& net, const CellLibrary& lib, const Placement& pl,
       const StaOptions& options, DeferInit);
 
-  /// Adopt another Sta's entire computed state (net caches, arrivals,
-  /// required times, critical delay, levels and damping margins)
-  /// byte-for-byte. Both analyses must be
-  /// outside transactions and bound to structurally identical networks
+  /// Adopt another Sta's computed timing state (net caches, arrivals,
+  /// critical delay, levels, damping margins and tails) byte-for-byte.
+  /// Required times are not copied: a replica only probes, so this Sta's
+  /// slacks read stale until its own refresh_required(). Both analyses must
+  /// be outside transactions and bound to structurally identical networks
   /// (same id_bound; the source's state must be valid for this network's
-  /// topology — a copy of the source's network qualifies). This is the parallel scheduler's
-  /// replica-sync primitive: it is cheaper than run_full() and, unlike a
-  /// recompute, guarantees the replica starts from bit-identical timing.
+  /// topology — a copy of the source's network qualifies). This is the
+  /// parallel scheduler's replica-sync primitive: it is cheaper than
+  /// run_full() and, unlike a recompute, guarantees the replica starts from
+  /// bit-identical timing.
   void copy_state_from(const Sta& other);
 
   /// Full recompute of net caches, arrivals, forward levels, required
@@ -105,8 +107,13 @@ class Sta {
   void touch_gate(GateId g);
   /// Re-evaluate arrivals from all dirty seeds until the fixed point, in
   /// forward-level order (see the bounded-cone notes below). Updates
-  /// critical_delay(). Required times/slacks become stale.
-  void propagate();
+  /// critical_delay(). Required times/slacks become stale. With a finite
+  /// `critical_cap` the walk may stop early, once the transaction's
+  /// critical delay is proven to exceed the cap (cut-off 3 below): it then
+  /// returns false, critical_delay() reads +inf and the stored arrivals are
+  /// partial, so the transaction must be rolled back. Returns true at the
+  /// fixed point.
+  bool propagate(double critical_cap = std::numeric_limits<double>::infinity());
   /// Discard the transaction: restore arrivals, net caches, critical delay.
   void rollback();
   /// Keep the transaction's results.
@@ -151,6 +158,21 @@ class Sta {
   //     arrival, deferred gates are re-pushed and the worklist completes
   //     undamped — deferred gates stored nothing, so this is exact).
   //
+  //  3. Critical-cap cut-off (needs the same arming as 2, and a finite
+  //     propagate() cap): the same backward walk also computes the tail
+  //         tail(g) = −(longest g→PO path delay)
+  //     per transition (refresh_required() with every PO seeded at 0). A
+  //     gate stored at level > every seed level (strictly: a rewired sink
+  //     on its new driver's level can pop before that driver is final),
+  //     whose own net is untouched and with no gate filed in the last
+  //     (unlevelled) bucket, holds its final arrival or a lower bound of it
+  //     (deferred gates only rise), and every delay downstream of it is the
+  //     refresh-time value. So the final critical delay is at least
+  //         max(a.rise − tail.rise, a.fall − tail.fall) − guard,
+  //     and once that exceeds the cap the walk stops: the caller learns
+  //     "above the cap", never a wrong number. Self-check replays every
+  //     stopped probe uncapped and checks its exact critical delay.
+  //
   // Margins are invalidated by any state-changing commit() and by
   // run_full(); rollback() restores state exactly and leaves them valid.
   // copy_state_from() adopts the source's margins, valid or not, so a
@@ -167,10 +189,10 @@ class Sta {
   /// worklist undamped and assert every primary-output arrival is
   /// bit-identical. Throws InternalError on mismatch.
   void set_damp_diff(bool on) { damp_diff_ = on; }
-  /// Recompute per-gate damping ceilings and forward levels from the
-  /// current (committed, fixed-point) state. One topological order, walked
-  /// forward for levels and backward for ceilings; call at round
-  /// granularity, never per-probe.
+  /// Recompute per-gate damping ceilings, tails and forward levels from
+  /// the current (committed, fixed-point) state. One topological order,
+  /// walked forward for levels and backward for ceilings and tails; call at
+  /// round granularity, never per-probe.
   void refresh_damping_margins();
   bool margins_valid() const { return margins_valid_; }
   /// Gate g's PO-seeded ceiling from the last refresh_damping_margins()
@@ -183,6 +205,15 @@ class Sta {
                ? req_damp_[g]
                : RiseFall{-std::numeric_limits<double>::infinity(),
                           -std::numeric_limits<double>::infinity()};
+  }
+
+  /// Gate g's tail from the last refresh_damping_margins(): minus the
+  /// longest g→PO path delay per transition (+inf off every PO path, and
+  /// for ids minted after the refresh, which therefore never bound).
+  RiseFall damping_tail(GateId g) const {
+    return g < tail_.size() ? tail_[g]
+                            : RiseFall{std::numeric_limits<double>::infinity(),
+                                       std::numeric_limits<double>::infinity()};
   }
 
   /// Propagation-shape counters (monotonic, accumulated across the Sta's
@@ -218,9 +249,11 @@ class Sta {
   /// `topo_order` backwards (fanouts before fanins), set req[g] for every
   /// non-Output gate to the min over its sink pins of (req at the sink,
   /// back through the sink's arc and the wire). Output gates keep the
-  /// seeds the caller wrote.
+  /// seeds the caller wrote. A non-null `tail` runs the same recurrence
+  /// over its own seeds in the same walk, sharing the delay lookups.
   void backward_required(std::span<const GateId> topo_order,
-                         std::vector<RiseFall>& req) const;
+                         std::vector<RiseFall>& req,
+                         std::vector<RiseFall>* tail = nullptr) const;
   /// Record a transaction seed's forward level into txn_max_dirty_level_
   /// (gates minted in the transaction have none and are skipped).
   void note_dirty_level(GateId g);
@@ -255,15 +288,16 @@ class Sta {
   double required_time_ = 0.0;
   bool required_valid_ = false;
 
-  // Damped-propagation state. req_damp_ is computed by
+  // Damped-propagation state. req_damp_ and tail_ are computed by
   // refresh_damping_margins(); level_ by run_full() and again by every
-  // refresh (copy_state_from copies both). Ids that were not live gates at
-  // the last computation (tombstones, and slots grown since for mid-txn
-  // inverters) read never-suppress sentinels, and propagate() buckets them
-  // after their fanins; committed rewiring leaves level_ stale until the
-  // next refresh, which loosens the worklist order but never its fixed
-  // point.
+  // refresh (copy_state_from copies all three). Ids that were not live
+  // gates at the last computation (tombstones, and slots grown since for
+  // mid-txn inverters) read never-suppress, never-bound sentinels, and
+  // propagate() buckets them after their fanins; committed rewiring leaves
+  // level_ stale until the next refresh, which loosens the worklist order
+  // but never its fixed point.
   std::vector<RiseFall> req_damp_;  // PO-seeded per-gate arrival ceiling
+  std::vector<RiseFall> tail_;      // −(longest path to a PO), per transition
   std::vector<int> level_;          // forward topo level (strict through Outputs)
   bool margins_valid_ = false;
   bool damp_active_ = false;

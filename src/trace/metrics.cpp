@@ -176,6 +176,7 @@ void collect_flow_metrics(MetricsRegistry& reg, const OptimizerResult& r) {
   reg.add_counter("timing.damp_cutoffs", r.damp_cutoffs);
   reg.add_counter("timing.damp_fallbacks", r.damp_fallbacks);
   reg.add_counter("timing.margin_refreshes", r.margin_refreshes);
+  reg.add_counter("timing.probes_bounded", r.probes_bounded);
 
   // Replica sync.
   reg.add_counter("sync.full_syncs", r.replica_full_syncs);

@@ -1,16 +1,23 @@
 // RewireEngine: transactional probe/commit/rollback over swap and resize
 // moves; exact-round-trip guarantees; the stale-candidate contract; id
-// recycling under probe loops.
+// recycling under probe loops; probes bounded by a critical-delay cap.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "engine/rewire_engine.hpp"
+#include "flow/flow.hpp"
 #include "gen/suite.hpp"
+#include "io/blif_writer.hpp"
 #include "library/cell_library.hpp"
 #include "mapping/mapper.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/validate.hpp"
+#include "parallel/scheduler.hpp"
 #include "place/placer.hpp"
 #include "rewire/swap.hpp"
 #include "sizing/sizing.hpp"
@@ -367,6 +374,287 @@ TEST(AdjacencyArena, ChunksRecycleAcrossDeleteAddCycles) {
   const GateId g2 = net.add_gate(GateType::Inv);
   EXPECT_EQ(after + 1, net.id_bound());
   EXPECT_NE(g1, g2);
+}
+
+// --- bounded probes -----------------------------------------------------------
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+struct ProbeRun {
+  EngineObjective obj;
+  std::uint64_t pops = 0;
+};
+
+/// One probe of `move` under `cap`, with the worklist pops it cost.
+ProbeRun probe_counting(RewireEngine& engine, const EngineMove& move, double cap) {
+  const std::uint64_t before = engine.sta().gates_propagated();
+  ProbeRun run;
+  run.obj = engine.probe(move, cap);
+  run.pops = engine.sta().gates_propagated() - before;
+  return run;
+}
+
+/// Every resize candidate of the first 200 mapped logic gates, gate by gate.
+std::vector<EngineMove> resize_moves(const Network& net, const CellLibrary& lib) {
+  std::vector<EngineMove> moves;
+  int gates = 0;
+  for (const GateId g : net.gates()) {
+    if (!is_logic(net.type(g)) || net.cell(g) < 0) continue;
+    for (const int cand : resize_candidates(net, lib, g)) {
+      moves.push_back(EngineMove::resize(g, cand));
+    }
+    if (++gates == 200) break;
+  }
+  return moves;
+}
+
+TEST(BoundedProbe, WorseningSwapStopsEarlyAndRollsBackExactly) {
+  EngineFixture f;
+  Sta sta(f.net, f.lib, f.pl);
+  RewireEngine engine(f.net, f.pl, f.lib, sta);
+  engine.refresh_timing_margins();
+  const double base = sta.critical_delay();
+  const auto swaps = enumerate_all_swaps(engine.partition(), f.net);
+  ASSERT_FALSE(swaps.empty());
+  const StateSnapshot snap = StateSnapshot::capture(f.net, f.pl, sta);
+  const std::vector<RiseFall> arrivals(sta.arrivals().begin(), sta.arrivals().end());
+
+  std::uint64_t bounded = 0, bounded_pops = 0, exact_pops = 0;
+  for (const SwapCandidate& c : swaps) {
+    const EngineMove move = EngineMove::swap(c);
+    const ProbeRun exact = probe_counting(engine, move, kInf);
+    const ProbeRun capped = probe_counting(engine, move, base);
+    if (capped.obj.critical == kInf) {
+      // Stopped: the exact probe must really be worse than the cap, the
+      // stopped walk a prefix of the full one, and the state untouched —
+      // the same move re-probed uncapped reads bit for bit the same.
+      ++bounded;
+      EXPECT_GT(exact.obj.critical, base);
+      EXPECT_EQ(capped.obj.sum_po, kInf);
+      EXPECT_LE(capped.pops, exact.pops);
+      bounded_pops += capped.pops;
+      exact_pops += exact.pops;
+      const EngineObjective again = engine.probe(move);
+      EXPECT_EQ(again.critical, exact.obj.critical);
+      EXPECT_EQ(again.sum_po, exact.obj.sum_po);
+    } else {
+      EXPECT_EQ(capped.obj.critical, exact.obj.critical);
+      EXPECT_EQ(capped.obj.sum_po, exact.obj.sum_po);
+    }
+  }
+  ASSERT_GT(bounded, 0u) << "no swap worsened the critical delay provably";
+  EXPECT_LT(bounded_pops, exact_pops);
+  EXPECT_EQ(engine.stats().probes_bounded, bounded);
+  expect_restored(snap, f.net, f.pl, sta);
+  EXPECT_TRUE(sta.margins_valid());
+  // The first probe grows the arrays over the engine's id reserve; the
+  // slots beyond the snapshot are tombstones.
+  const auto after = sta.arrivals();
+  ASSERT_GE(after.size(), arrivals.size());
+  for (GateId g = 0; g < arrivals.size(); ++g) {
+    EXPECT_EQ(after[g].rise, arrivals[g].rise) << "gate " << g;
+    EXPECT_EQ(after[g].fall, arrivals[g].fall) << "gate " << g;
+  }
+
+  // Self-check replays every bounded probe uncapped; it must agree.
+  engine.set_self_check(true);
+  for (const SwapCandidate& c : swaps) {
+    EXPECT_NO_THROW(engine.probe(EngineMove::swap(c), base));
+  }
+  EXPECT_EQ(engine.stats().probes_bounded, 2 * bounded);
+}
+
+TEST(BoundedProbe, InfiniteCapOrStaleMarginsNeverBound) {
+  EngineFixture f;
+  Sta sta(f.net, f.lib, f.pl);
+  RewireEngine engine(f.net, f.pl, f.lib, sta);
+  engine.refresh_timing_margins();
+  std::vector<EngineMove> moves;
+  for (const SwapCandidate& c : enumerate_all_swaps(engine.partition(), f.net)) {
+    moves.push_back(EngineMove::swap(c));
+  }
+  for (const EngineMove& m : resize_moves(f.net, f.lib)) moves.push_back(m);
+  ASSERT_FALSE(moves.empty());
+  for (const EngineMove& m : moves) {
+    EXPECT_TRUE(std::isfinite(engine.probe(m).critical));
+    EXPECT_TRUE(std::isfinite(engine.probe(m, kInf).critical));
+  }
+  EXPECT_EQ(engine.stats().probes_bounded, 0u);
+
+  // Without valid margins there are no tails to bound with: even a cap
+  // below every possible critical delay reads the exact objective.
+  engine.commit(moves.front());
+  ASSERT_FALSE(sta.margins_valid());
+  for (const EngineMove& m : resize_moves(f.net, f.lib)) {
+    const EngineObjective exact = engine.probe(m);
+    const EngineObjective capped = engine.probe(m, -1.0);
+    EXPECT_EQ(capped.critical, exact.critical);
+    EXPECT_EQ(capped.sum_po, exact.sum_po);
+  }
+  EXPECT_EQ(engine.stats().probes_bounded, 0u);
+}
+
+TEST(BoundedProbe, CapAtTheExactCriticalNeverBounds) {
+  // The bound is a proof, so a probe capped at exactly its own critical
+  // delay must never stop (a bound without the rounding guard does). The
+  // swaps include ones that rewire a sink onto a new driver on the sink's
+  // own level, whose stored arrival may be non-final and must not bound;
+  // SelfCheckedFlowsMatchPlainFlows below is where that case bites.
+  std::uint64_t same_level = 0, probed = 0;
+  for (const std::uint64_t seed : {4242u, 90125u, 7u, 11u, 23u, 31u}) {
+    Network net = testing::mapped(testing::random_mapped_network(seed, 12, 120, 6));
+    PlacerOptions popt;
+    popt.effort = 1.0;
+    popt.num_temps = 4;
+    Placement pl = place(net, lib035(), popt);
+    Sta sta(net, lib035(), pl);
+    RewireEngine engine(net, pl, lib035(), sta);
+    engine.set_self_check(true);
+    engine.refresh_timing_margins();
+    // A copy: the first probe grows the Sta's arrays over the id reserve.
+    const std::vector<int> levels(sta.levels().begin(), sta.levels().end());
+    for (const SwapCandidate& c : enumerate_all_swaps(engine.partition(), net)) {
+      const GateId da = net.driver_of(c.pin_a);
+      const GateId db = net.driver_of(c.pin_b);
+      if (levels[c.pin_a.gate] == levels[db] || levels[c.pin_b.gate] == levels[da]) {
+        ++same_level;
+      }
+      const EngineMove move = EngineMove::swap(c);
+      const EngineObjective exact = engine.probe(move);
+      const EngineObjective capped = engine.probe(move, exact.critical);
+      EXPECT_EQ(capped.critical, exact.critical) << "seed " << seed;
+      EXPECT_EQ(capped.sum_po, exact.sum_po) << "seed " << seed;
+      ++probed;
+    }
+    EXPECT_EQ(engine.stats().probes_bounded, 0u) << "seed " << seed;
+  }
+  EXPECT_GT(probed, 0u);
+  EXPECT_GT(same_level, 0u) << "no same-level rewire exercised";
+}
+
+/// The scheduler's per-group selection re-derived from uncapped probes: the
+/// reference the capped probe_round must reproduce winner for winner.
+GroupResult reference_winner(RewireEngine& engine, const ProbeGroup& group,
+                             ProbePolicy policy, double threshold) {
+  constexpr double kGainTie = 1e-12;
+  constexpr double kCritSlack = 1e-9;
+  const double base = engine.sta().critical_delay();
+  const double base_sum = engine.sta().sum_po_arrival();
+  GroupResult r;
+  double best_gain = 0.0;
+  double best_sum_gain = policy == ProbePolicy::Relaxation ? threshold : 0.0;
+  for (std::size_t i = 0; i < group.moves.size(); ++i) {
+    const EngineObjective obj = engine.probe(group.moves[i]);
+    const double gain = base - obj.critical;
+    const double sum_gain = base_sum - obj.sum_po;
+    bool take = false;
+    switch (policy) {
+      case ProbePolicy::MinCritical:
+        take = gain > best_gain + kGainTie ||
+               (gain > threshold && std::abs(gain - best_gain) <= kGainTie &&
+                sum_gain > best_sum_gain);
+        break;
+      case ProbePolicy::Relaxation:
+        take = obj.critical <= base + kCritSlack && sum_gain > best_sum_gain;
+        break;
+      case ProbePolicy::FirstFit:
+        take = !r.has_move && obj.critical <= threshold;
+        break;
+    }
+    if (!take) continue;
+    r.has_move = true;
+    r.move_index = static_cast<int>(i);
+    r.probed = obj;
+    best_gain = gain;
+    best_sum_gain = sum_gain;
+  }
+  if (policy == ProbePolicy::MinCritical && best_gain <= threshold) r.has_move = false;
+  return r;
+}
+
+TEST(BoundedProbe, PolicyWinnersMatchUncappedProbes) {
+  EngineFixture f;
+  Sta sta(f.net, f.lib, f.pl);
+  RewireEngine engine(f.net, f.pl, f.lib, sta);
+  engine.refresh_timing_margins();
+  std::vector<ProbeGroup> swap_groups;
+  const GisgPartition& part = engine.partition();
+  for (std::size_t s = 0; s < part.sgs.size(); ++s) {
+    ProbeGroup g;
+    for (const SwapCandidate& c : enumerate_swaps(part, static_cast<int>(s), f.net)) {
+      g.moves.push_back(EngineMove::swap(c));
+    }
+    if (!g.moves.empty()) swap_groups.push_back(std::move(g));
+  }
+  // One group per gate, holding its resize candidates in library order.
+  std::vector<ProbeGroup> resize_groups;
+  for (const EngineMove& m : resize_moves(f.net, f.lib)) {
+    if (resize_groups.empty() || resize_groups.back().moves.front().gate != m.gate) {
+      resize_groups.emplace_back();
+    }
+    resize_groups.back().moves.push_back(m);
+  }
+  ASSERT_FALSE(swap_groups.empty());
+  ASSERT_FALSE(resize_groups.empty());
+
+  ParallelRewireScheduler sched(engine, SchedulerOptions{});
+  const double base = sta.critical_delay();
+  const struct {
+    ProbePolicy policy;
+    double threshold;
+    const std::vector<ProbeGroup>& groups;
+  } cases[] = {{ProbePolicy::MinCritical, 1e-6, swap_groups},
+               {ProbePolicy::MinCritical, 1e-6, resize_groups},
+               {ProbePolicy::Relaxation, 1e-6, swap_groups},
+               {ProbePolicy::Relaxation, 1e-6, resize_groups},
+               {ProbePolicy::FirstFit, base + 1e-6, resize_groups}};
+  for (const auto& c : cases) {
+    const std::uint64_t bounded0 = engine.stats().probes_bounded;
+    const std::vector<GroupResult> got = sched.probe_round(c.groups, c.policy, c.threshold);
+    const std::uint64_t bounded = engine.stats().probes_bounded - bounded0;
+    const char* name = probe_policy_name(c.policy);
+    EXPECT_GT(bounded, 0u) << name << ": nothing bounded, the check is vacuous";
+    ASSERT_EQ(got.size(), c.groups.size());
+    int winners = 0;
+    for (std::size_t g = 0; g < c.groups.size(); ++g) {
+      const GroupResult want = reference_winner(engine, c.groups[g], c.policy, c.threshold);
+      ASSERT_EQ(got[g].has_move, want.has_move) << name << " group " << g;
+      if (!want.has_move) continue;
+      ++winners;
+      EXPECT_EQ(got[g].move_index, want.move_index) << name << " group " << g;
+      EXPECT_EQ(got[g].probed.critical, want.probed.critical) << name << " group " << g;
+      EXPECT_EQ(got[g].probed.sum_po, want.probed.sum_po) << name << " group " << g;
+    }
+    EXPECT_GT(winners, 0) << name;
+  }
+}
+
+
+TEST(BoundedProbe, SelfCheckedFlowsMatchPlainFlows) {
+  // End to end under the flow's own placement: self-check replays every
+  // bounded probe uncapped and throws unless it lands above its cap, and
+  // bounding must not change a single commit. x3 gsg bounds probes whose
+  // exact critical delay equals the round baseline, so a bound from a
+  // non-final arrival (a level guard of >= instead of >) or without the
+  // rounding guard throws here.
+  const auto blif_of = [](const Network& net) {
+    std::ostringstream os;
+    write_blif(net, os, "bounded_probe");
+    return os.str();
+  };
+  FlowOptions base;
+  base.verify = false;
+  for (const char* name : {"x3", "c499"}) {
+    const PreparedCircuit prepared = prepare_benchmark(name, lib035(), base);
+    const ModeRun plain = run_mode(prepared, lib035(), OptMode::Gsg, base);
+    FlowOptions checked = base;
+    checked.opt.self_check = true;
+    ModeRun ref;
+    ASSERT_NO_THROW(ref = run_mode(prepared, lib035(), OptMode::Gsg, checked)) << name;
+    EXPECT_GT(plain.result.probes_bounded, 0u) << name;
+    EXPECT_EQ(ref.result.probes_bounded, plain.result.probes_bounded) << name;
+    EXPECT_EQ(blif_of(ref.optimized), blif_of(plain.optimized)) << name;
+  }
 }
 
 }  // namespace

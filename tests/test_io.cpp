@@ -162,6 +162,30 @@ TEST(Bench, RoundTripRandomNetworks) {
   }
 }
 
+TEST(Bench, KeywordPrefixedNamesRoundTrip) {
+  // Only `INPUT(` / `OUTPUT(` (spaces allowed before the parenthesis) on a
+  // line without '=' declares; signals whose names start with a keyword
+  // are ordinary gates, and survive a write/read round trip.
+  std::stringstream ss(
+      "INPUT(a)\nINPUT (b)\nOUTPUT(OUTPUT1)\n"
+      "INPUTS_n = AND(a, b)\n"
+      "OUTPUT1 = NOT(INPUTS_n)\n");
+  const Network net = read_bench(ss);
+  validate_or_throw(net);
+  EXPECT_EQ(net.primary_inputs().size(), 2u);
+  EXPECT_EQ(net.primary_outputs().size(), 1u);
+  NetworkBuilder b;
+  const GateId a = b.input("a"), bb = b.input("b");
+  b.output("OUTPUT1", b.nand({a, bb}));
+  EXPECT_TRUE(check_equivalence(b.net(), net).equivalent);
+
+  std::stringstream out;
+  write_bench(net, out);
+  const Network back = read_bench(out);
+  validate_or_throw(back);
+  EXPECT_TRUE(check_equivalence(net, back).equivalent) << out.str();
+}
+
 TEST(Bench, UnknownSignalRejected) {
   std::stringstream ss("INPUT(a)\nOUTPUT(f)\nf = AND(a, ghost)\n");
   EXPECT_THROW((void)read_bench(ss), InputError);

@@ -297,6 +297,7 @@ void expect_thread_count_identity(const char* name, const PreparedCircuit& prepa
     EXPECT_EQ(ref.result.damp_cutoffs, r.result.damp_cutoffs) << cfg;
     EXPECT_EQ(ref.result.damp_fallbacks, r.result.damp_fallbacks) << cfg;
     EXPECT_EQ(ref.result.margin_refreshes, r.result.margin_refreshes) << cfg;
+    EXPECT_EQ(ref.result.probes_bounded, r.result.probes_bounded) << cfg;
     EXPECT_EQ(ref.result.candidates_enumerated, r.result.candidates_enumerated) << cfg;
     EXPECT_EQ(ref.result.swaps_committed, r.result.swaps_committed) << cfg;
     EXPECT_EQ(ref.result.resizes_committed, r.result.resizes_committed) << cfg;

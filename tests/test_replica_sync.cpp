@@ -35,7 +35,8 @@ std::string blif_of(const Network& net) {
 
 /// Assert the two replicas hold byte-identical state: every network row
 /// (fanout lists in the same order), the recycled-id free stack, the
-/// placement and every Sta array.
+/// placement and every Sta array a probe reads (required times are not
+/// synced: replicas never read slacks).
 void expect_replicas_equal(const ProbeContext& a, const ProbeContext& b) {
   const Network& an = a.replica_net();
   const Network& bn = b.replica_net();
@@ -84,6 +85,10 @@ void expect_replicas_equal(const ProbeContext& a, const ProbeContext& b) {
         << "ceiling mismatch at gate " << g;
     EXPECT_EQ(as.damping_ceiling(g).fall, bs.damping_ceiling(g).fall)
         << "ceiling mismatch at gate " << g;
+    EXPECT_EQ(as.damping_tail(g).rise, bs.damping_tail(g).rise)
+        << "tail mismatch at gate " << g;
+    EXPECT_EQ(as.damping_tail(g).fall, bs.damping_tail(g).fall)
+        << "tail mismatch at gate " << g;
     const StarNet& astar = as.star(g);
     const StarNet& bstar = bs.star(g);
     EXPECT_EQ(astar.driver, bstar.driver) << "star net mismatch at gate " << g;
@@ -169,8 +174,17 @@ TEST(ReplicaSync, InPlaceResyncMatchesFreshContextAcrossEpochs) {
                                            cands.size()]));
     ++commits;
     f.engine.refresh_timing_margins();
+    f.sta.refresh_required();
     ctx.sync(f.engine);
     ASSERT_TRUE(ctx.in_sync_with(f.engine));
+    // The sync adopts the live tails but not the required times: a replica
+    // reads no slack, so its slacks stay stale however fresh the source's.
+    EXPECT_THROW((void)ctx.replica_sta().slack(f.net.primary_outputs().front()),
+                 InternalError);
+    for (GateId g = 0; g < f.net.id_bound(); ++g) {
+      EXPECT_EQ(ctx.replica_sta().damping_tail(g).rise, f.sta.damping_tail(g).rise);
+      EXPECT_EQ(ctx.replica_sta().damping_tail(g).fall, f.sta.damping_tail(g).fall);
+    }
     // Nothing probed since the harvest: the resync must not re-harvest.
     EXPECT_EQ(ctx.take_stats().probes, 0u) << "epoch " << commits;
     expect_matches_fresh_context(ctx, f.engine);

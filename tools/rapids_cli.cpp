@@ -261,6 +261,7 @@ int cmd_flow(const std::vector<std::string>& args) {
                       ? 100.0 * suppressed / (visited + suppressed)
                       : 0.0)
               << "%), " << r.damp_fallbacks << " undamped replays, "
+              << r.probes_bounded << " probes bounded, "
               << r.margin_refreshes << " margin refreshes ("
               << r.seconds_timing << " s inside groups)\n";
   }
